@@ -49,7 +49,12 @@ class UsageError(ValueError):
 
 
 def _default_threads() -> int:
-    return os.cpu_count() or 1
+    """The CPUs this process may run on; the machine's count only where
+    the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _write_text(path: str, text: str) -> None:

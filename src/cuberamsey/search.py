@@ -4,35 +4,76 @@ absence certificates.
 
 An embedding f maps every A in 2^[n] to a member of the family so that
 A is a subset of B exactly when f(A) is a subset of f(B).  The search
-assigns images in a fixed order (bottom, top, then remaining sources by
-ascending size and encoded value), deriving each candidate list from the
-interval between the union of assigned subset images and the intersection
-of assigned superset images.  Two provable bounds are available as prunes
-and can be switched off without changing any outcome:
+assigns images in a fixed order (bottom, top, the singletons {1}..{n},
+then the remaining sources by ascending size and encoded value), deriving
+each candidate list from the interval between the union u of assigned
+subset images and the intersection of assigned superset images: the
+candidates are x = u + w for the submasks w of the free part d, in
+ascending order.  So the search meets complete assignments in
+lexicographic order of their image vectors (read in assignment order),
+and the first find is the lexicographically smallest embedding.
 
-  * cardinality window: |f(empty)| + |A| <= |f(A)| <= |f(full)| - (n - |A|);
-  * top children: any k images of the (n-1)-sized sources intersect in at
-    most |f(full)| - k elements.
+With prune=True three provable reductions apply; prune=False walks the
+plain tree, and outcomes, first-mode witnesses, counts and distinct image
+families are the same either way.
+
+  * root gap and cardinality window: |f(empty)| + |A| <= |f(A)| <=
+    |f(full)| - (n - |A|), since a chain of length n runs through A.
+  * in-window generation: only the submasks w of d with |u| + |w| inside
+    the window are generated, still in ascending order.  The skipped ones
+    are counted as cardinality-window hits: with k = |d| and the window
+    [a, b] for |w|, that is 2^k - sum_{a <= j <= b} C(k, j), so the counter
+    equals the number of rejections a submask-by-submask walk would make.
+    Materialised lists stay small for every m: d is split into its lowest
+    _LOW_BITS set bits and the rest; the high submasks w_h are walked
+    lazily in ascending order, and each is followed by the cached list of
+    low submasks whose size lies in the window shifted by |w_h|.  Every
+    high bit is above every low bit, so the concatenation is ascending.
+  * source symmetry: the search keeps only embeddings whose singleton
+    images increase, f({1}) < f({2}) < ... < f({n}) by encoded value.
+    Proof.  For a permutation s of [n], f o s (A -> f(s(A))) is again an
+    embedding with the same image set, as s is an automorphism of 2^[n].
+    Images are distinct, so f o s = f only for s = id: the n! permutations
+    act freely, every orbit has n! members, and exactly one of them (sort
+    the distinct singleton images) has increasing singleton images.  Hence
+    count mode multiplies the canonical count by n!, and the set of
+    distinct image families is unchanged.  First-mode witnesses are
+    unchanged too: let f be the lexicographically smallest embedding and
+    s the permutation that sorts its singleton images.  f o s agrees with f
+    on bottom and top, and its singleton images (positions 2..n+1) are the
+    sorted sequence, which is lexicographically no larger; were f's
+    unsorted, f o s would be strictly smaller.  So the smallest embedding
+    is canonical and the reduced search meets it first.  Candidates are
+    ascending, so the test x > f({k-1}) is a bisection into the candidate
+    list rather than a per-candidate comparison.
 
 Reported node counts follow a fixed convention: one node per accepted
 (bottom, top) root pair and one per accepted inner assignment.  Candidate
-checks run in a fixed order (cardinality window, membership, reuse,
-incomparability, top children), so prune hit counts are reproducible.
+checks run in a fixed order (cardinality window, source symmetry,
+membership, reuse, incomparability), so prune hit counts are reproducible;
+they audit completed exhaustions.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial
 
 from .coloring import Color, Coloring, SetFamily
 from .lattice import ElementSet
 
 MAX_SOURCE_N = 12
 
-_PRUNE_NAMES = ("root-gap", "cardinality-window", "top-children")
+_PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry")
+
+# A materialised candidate list holds at most 2**_LOW_BITS entries, and an
+# engine caches at most _CACHED_ENTRIES of them in total.
+_LOW_BITS = 10
+_CACHED_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -178,6 +219,25 @@ class _DeadlineHit(Exception):
     pass
 
 
+def _submasks_in_window(d: int, lo: int, hi: int) -> list[int]:
+    """The submasks of d with lo..hi bits, ascending."""
+    out = []
+    w = 0
+    while True:
+        if lo <= w.bit_count() <= hi:
+            out.append(w)
+        w = (w - d) & d
+        if not w:
+            return out
+
+
+@lru_cache(maxsize=4096)
+def _window_skipped(k: int, lo: int, hi: int) -> int:
+    """How many of the 2^k submasks of a k-bit mask have fewer than lo or
+    more than hi bits."""
+    return (1 << k) - sum(comb(k, j) for j in range(max(lo, 0), min(hi, k) + 1))
+
+
 class _Engine:
     """Sequential backtracking over one list of root bottoms."""
 
@@ -191,27 +251,33 @@ class _Engine:
         collect: set | None = None,
     ) -> None:
         m = family.space.m
-        self.m = m
+        self.all_elements = (1 << m) - 1
         self.n = n
         self.member = family.mask.tobytes() if m <= 24 else family.mask
         self.order, self.subs, self.sups, self.incs = _prepare_sources(n)
         self.positions = len(self.order)
-        self.first_tc = self.positions - n if n >= 2 else self.positions
+        self.sizes = [s.bit_count() for s in self.order]
+        # Positions 2..n+1 hold the singletons; each image after the first
+        # must exceed its predecessor (source symmetry).
+        self.floored = [prune and 3 <= k <= n + 1 for k in range(self.positions)]
         self.mode = mode
         self.prune = prune
         self.deadline = deadline
         self.collect = collect
+        self.low_lists: dict[tuple[int, int, int], list[int]] = {}
+        self.cached_entries = 0
         self.images = [0] * self.positions
         self.used: set[int] = set()
         self.nodes = 0
         self.prune_hits = dict.fromkeys(_PRUNE_NAMES, 0)
         self.count = 0
         self.found: tuple[int, ...] | None = None
-        self._tick = 0
+        self._work = 0
 
     def run(self, bottoms: list[int], members: list[int]) -> None:
         n = self.n
         for b in bottoms:
+            self._check_deadline(len(members))
             pc_b = b.bit_count()
             for t in members:
                 if t & b != b or t == b:
@@ -224,17 +290,21 @@ class _Engine:
                 self.images[0] = b
                 self.images[1] = t
                 self.used = {b, t}
-                if self._extend(2, t) and self.mode == "first":
+                if self._extend(2) and self.mode == "first":
                     return
 
-    def _check_deadline(self) -> None:
+    def _check_deadline(self, work: int = 1) -> None:
+        """Look at the clock once about every 256 units of work: accepted
+        nodes, candidates walked, or root pairs tried."""
         if self.deadline is None:
             return
-        self._tick += 1
-        if self._tick & 255 == 0 and time.monotonic() > self.deadline:
-            raise _DeadlineHit
+        self._work += work
+        if self._work >= 256:
+            self._work = 0
+            if time.monotonic() > self.deadline:
+                raise _DeadlineHit
 
-    def _extend(self, k: int, tc_inter: int) -> bool:
+    def _extend(self, k: int) -> bool:
         if k == self.positions:
             if self.mode == "first":
                 self.found = tuple(self.images)
@@ -244,63 +314,85 @@ class _Engine:
                 self.collect.add(tuple(sorted(self.images)))
             return False
         images = self.images
-        s = self.order[k]
         u = 0
         for j in self.subs[k]:
             u |= images[j]
-        cap = (1 << self.m) - 1
+        cap = self.all_elements
         for j in self.sups[k]:
             cap &= images[j]
         if u & ~cap:
             return False
         d = cap & ~u
-        prune = self.prune
-        in_tc = k >= self.first_tc
-        if prune:
-            pc_s = s.bit_count()
-            lo = images[0].bit_count() + pc_s
-            hi = images[1].bit_count() - (self.n - pc_s)
-            tc_budget = images[1].bit_count() - (k - self.first_tc + 1)
+        hits = self.prune_hits
+        if self.prune:
+            # Window on |w| = |x| - |u| for the candidates x = u + w.
+            pc_s = self.sizes[k]
+            pc_u = u.bit_count()
+            lo = images[0].bit_count() + pc_s - pc_u
+            hi = images[1].bit_count() - (self.n - pc_s) - pc_u
+            hits["cardinality-window"] += _window_skipped(d.bit_count(), lo, hi)
+        else:
+            lo, hi = 0, d.bit_count()
+        floored = self.floored[k]
         member = self.member
         used = self.used
         incs = self.incs[k]
-        w = 0
+        low_lists = self.low_lists
+        # Chunks: w_high walks the submasks of d above its lowest _LOW_BITS
+        # set bits, each followed by the cached list of low submasks whose
+        # size fits the window shifted by |w_high|.
+        high = d
+        for _ in range(_LOW_BITS):
+            high &= high - 1
+        low = d ^ high
+        n_low = low.bit_count()
+        w_high = 0
         while True:
-            x = u | w
-            ok = True
-            if prune and not lo <= x.bit_count() <= hi:
-                self.prune_hits["cardinality-window"] += 1
-                ok = False
-            if ok and not member[x]:
-                ok = False
-            if ok and x in used:
-                ok = False
-            if ok:
+            taken = w_high.bit_count()
+            key = (low, max(lo - taken, 0), min(hi - taken, n_low))
+            lows = low_lists.get(key)
+            if lows is None:
+                lows = self._low_list(key)
+            self._check_deadline(len(lows) + 1)
+            base = u | w_high
+            if floored:
+                start = bisect_right(lows, images[k - 1] - base)
+                hits["source-symmetry"] += start
+                lows = lows[start:]
+            for w in lows:
+                x = base | w
+                if not member[x] or x in used:
+                    continue
+                ok = True
                 for j in incs:
                     v = images[j]
                     xv = x & v
                     if xv == x or xv == v:
                         ok = False
                         break
-            new_inter = tc_inter
-            if ok and in_tc:
-                new_inter = tc_inter & x
-                if prune and new_inter.bit_count() > tc_budget:
-                    self.prune_hits["top-children"] += 1
-                    ok = False
-            if ok:
-                self.nodes += 1
-                self._check_deadline()
-                images[k] = x
-                used.add(x)
-                stop = self._extend(k + 1, new_inter)
-                used.discard(x)
-                if stop:
-                    return True
-            w = (w - d) & d
-            if not w:
-                break
-        return False
+                if ok:
+                    self.nodes += 1
+                    self._check_deadline()
+                    images[k] = x
+                    used.add(x)
+                    stop = self._extend(k + 1)
+                    used.discard(x)
+                    if stop:
+                        return True
+            w_high = (w_high - high) & high
+            if not w_high:
+                return False
+
+    def _low_list(self, key: tuple[int, int, int]) -> list[int]:
+        """Build and cache one low list.  Each list counts its length plus
+        one against _CACHED_ENTRIES, so empty lists are bounded too."""
+        lows = _submasks_in_window(*key)
+        if self.cached_entries + len(lows) + 1 > _CACHED_ENTRIES:
+            self.low_lists.clear()
+            self.cached_entries = 0
+        self.low_lists[key] = lows
+        self.cached_entries += len(lows) + 1
+        return lows
 
 
 def _run_engine(
@@ -319,7 +411,9 @@ def _run_engine(
         eng.run(bottoms, members)
     except _DeadlineHit:
         hit = True
-    return eng.found, eng.count, eng.nodes, eng.prune_hits, hit
+    # Each canonical embedding stands for its orbit of n! labeled maps.
+    count = eng.count * factorial(n) if prune else eng.count
+    return eng.found, count, eng.nodes, eng.prune_hits, hit
 
 
 def _search_worker(args) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
@@ -357,7 +451,7 @@ def find_copy(
         count = 0 if mode == "count" else None
         return SearchOutcome("absent", None, count, 0, dict.fromkeys(_PRUNE_NAMES, 0), elapsed)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    members = [int(v) for v in family.member_values()]
+    members = family.member_values().tolist()
     if workers <= 1 or len(members) < 2:
         found, count, nodes, hits, hit_deadline = _run_engine(
             family, n, mode, prune, deadline, members, members
@@ -439,7 +533,7 @@ def count_distinct_copies(family: SetFamily, n: int, prune: bool = True) -> tupl
         raise ValueError(f"distinct-copy collection capped at n <= 6, got {n}")
     if n > family.space.m:
         return 0, 0
-    members = [int(v) for v in family.member_values()]
+    members = family.member_values().tolist()
     images: set[tuple[int, ...]] = set()
     found, count, nodes, hits, hit_deadline = _run_engine(
         family, n, "count", prune, None, members, members, images

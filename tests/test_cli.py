@@ -12,6 +12,7 @@ from cuberamsey import (
     parse_coloring,
     save_coloring,
 )
+from cuberamsey import cli
 from cuberamsey.cli import (
     EXIT_FAIL,
     EXIT_FOUND,
@@ -164,10 +165,11 @@ class TestFindCopyCommand:
         fields, _ = parse_report(out)
         assert fields["red"] == "absent"
         assert fields["blue"] == "absent"
-        assert fields["red_nodes"] == "785"
+        assert fields["red_nodes"] == "210"
         assert fields["red_prune_root-gap"] == "40"
-        assert fields["red_prune_cardinality-window"] == "1710"
-        assert fields["red_prune_top-children"] == "0"
+        assert fields["red_prune_cardinality-window"] == "760"
+        assert fields["red_prune_source-symmetry"] == "840"
+        assert "red_prune_top-children" not in fields
 
     def test_budget_turns_run_inconclusive(self, capsys, c0n4):
         code, out, _ = run(
@@ -376,6 +378,18 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_threads_default_to_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert cli._default_threads() == 3
+        for command in ("find-copy", "verify-lower-bound"):
+            args = cli.build_parser().parse_args([command, "--n", "4", "--coloring", "x"])
+            assert args.threads == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._default_threads() == 8
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._default_threads() == 1
 
     def test_reports_end_with_volatile_fields(self, capsys, c0n3):
         _, out, _ = run(capsys, "check", "--n", 3, "--coloring", c0n3)

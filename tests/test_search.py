@@ -2,7 +2,10 @@
 pruning equivalence, worker determinism, and budget semantics."""
 
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -22,8 +25,9 @@ from cuberamsey import (
     verify_embedding,
     verify_no_copy,
 )
+from cuberamsey import search
 
-PRUNE_NAMES = ("root-gap", "cardinality-window", "top-children")
+PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry")
 
 # (n, m) -> (labeled embeddings, distinct image families) in the full cube.
 # Derived with the permutation oracle; 19 = 3^3 - 2^3 and 6 = 3! were also
@@ -228,11 +232,11 @@ class TestLayeredAbsence:
         for color in (Color.RED, Color.BLUE):
             out = verify_no_copy(lay.color_class(color), 3)
             assert out.status == "absent"
-            assert out.nodes_explored == 785
+            assert out.nodes_explored == 210
             assert out.prune_hits == {
                 "root-gap": 40,
-                "cardinality-window": 1710,
-                "top-children": 0,
+                "cardinality-window": 760,
+                "source-symmetry": 840,
             }
 
     def test_prune_off_explores_more_but_agrees(self):
@@ -245,11 +249,28 @@ class TestLayeredAbsence:
 
 class TestPruneEquivalence:
     def test_full_cubes(self):
+        # Covers the n! orbit factor for every n <= m <= 4, n = 1 included.
         for m in range(1, 5):
-            for n in range(1, min(m, 3) + 1):
+            for n in range(1, m + 1):
                 a = find_copy(full_family(m), n, mode="count", prune=True)
                 b = find_copy(full_family(m), n, mode="count", prune=False)
                 assert (a.status, a.count) == (b.status, b.count)
+                assert count_distinct_copies(full_family(m), n, prune=True) == (
+                    count_distinct_copies(full_family(m), n, prune=False)
+                )
+
+    def test_seeded_families_counts_and_witnesses(self):
+        for m in range(1, 6):
+            rng = random.Random(4000 + m)
+            for _ in range(8):
+                fam = random_family(m, rng, density=rng.uniform(0.4, 0.95))
+                for n in range(1, min(m, 4) + 1):
+                    a = find_copy(fam, n, mode="count", prune=True)
+                    b = find_copy(fam, n, mode="count", prune=False)
+                    assert (a.status, a.count) == (b.status, b.count)
+                    a = find_copy(fam, n, prune=True)
+                    b = find_copy(fam, n, prune=False)
+                    assert (a.status, a.embedding) == (b.status, b.embedding)
 
     def test_random_families(self):
         rng = random.Random(55)
@@ -274,6 +295,61 @@ class TestPruneEquivalence:
             b = find_copy(fam, 3, prune=False)
             assert a.status == b.status == "found"
             assert a.embedding == b.embedding
+
+
+class TestInWindowGeneration:
+    def test_helpers_match_brute_force_filter(self):
+        for d in range(1 << 8):
+            subs = [w for w in range(d + 1) if w & d == w]
+            k = d.bit_count()
+            for lo in range(-1, 10):
+                for hi in range(-1, 10):
+                    kept = [w for w in subs if lo <= w.bit_count() <= hi]
+                    assert search._submasks_in_window(d, lo, hi) == kept
+                    assert search._window_skipped(k, lo, hi) == len(subs) - len(kept)
+
+    @pytest.mark.parametrize("low_bits", [0, 1, 2, 3])
+    def test_split_candidate_lists_change_nothing(self, monkeypatch, low_bits):
+        # Small low parts send every level through the chunked path.
+        cases = [
+            (make_layered(5).color_class(Color.RED), 3),
+            (make_c0(3).color_class(Color.RED), 3),
+            (make_c0(3).color_class(Color.BLUE), 3),
+            (full_family(4), 3),
+        ]
+        expected = []
+        for fam, n in cases:
+            for prune in (True, False):
+                for mode in ("first", "count"):
+                    expected.append(find_copy(fam, n, mode=mode, prune=prune))
+        monkeypatch.setattr(search, "_LOW_BITS", low_bits)
+        got = []
+        for fam, n in cases:
+            for prune in (True, False):
+                for mode in ("first", "count"):
+                    got.append(find_copy(fam, n, mode=mode, prune=prune))
+        for a, b in zip(got, expected):
+            assert (a.status, a.embedding, a.count) == (b.status, b.embedding, b.count)
+            assert (a.nodes_explored, a.prune_hits) == (b.nodes_explored, b.prune_hits)
+
+
+class TestC0N4Audit:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_frozen_counters(self, workers):
+        expected = {
+            Color.RED: (36151, 1004, 318991, 237332),
+            Color.BLUE: (86132, 1088, 814506, 699887),
+        }
+        c0 = make_c0(4)
+        for color, (nodes, gap, window, symmetry) in expected.items():
+            out = find_copy(c0.color_class(color), 4, workers=workers)
+            assert out.status == "absent"
+            assert out.nodes_explored == nodes
+            assert out.prune_hits == {
+                "root-gap": gap,
+                "cardinality-window": window,
+                "source-symmetry": symmetry,
+            }
 
 
 class TestWorkers:
@@ -322,7 +398,50 @@ class TestBudget:
         fam = make_layered(5).color_class(Color.RED)
         out = find_copy(fam, 3, budget_ms=60000.0)
         assert out.status == "absent"
-        assert out.nodes_explored == 785
+        assert out.nodes_explored == 210
+
+    def test_budget_holds_with_no_accepted_node(self):
+        # The singleton level walks 2^22 candidates, none a member; the
+        # deadline is checked per candidate chunk, not only per node.
+        fam = SetFamily.from_sets(CubeSpace(22), [0, (1 << 22) - 1])
+        start = time.perf_counter()
+        out = find_copy(fam, 2, budget_ms=50.0)
+        assert out.status == "inconclusive"
+        assert out.nodes_explored == 1
+        assert time.perf_counter() - start < 2.0
+        # An antichain: every root pair is rejected before it becomes a
+        # node, so the deadline is checked per root bottom.
+        fam = SetFamily.from_sets(
+            CubeSpace(20), [v for v in range(1 << 20) if v.bit_count() == 10]
+        )
+        start = time.perf_counter()
+        out = find_copy(fam, 2, budget_ms=50.0)
+        assert out.status == "inconclusive"
+        assert out.nodes_explored == 0
+        assert time.perf_counter() - start < 2.0
+
+    def test_dense_family_budget_and_memory(self):
+        # Every set of [20] with at most 3 elements, and [20] itself.  The
+        # first root pair is ({}, [20]); at its singleton level 784,625 of
+        # the 2^20 submasks fit the window, a list of about 28 MB if it
+        # were materialised whole.
+        sizes = np.array([bin(v).count("1") for v in range(1 << 20)])
+        fam = SetFamily(CubeSpace(20), (sizes <= 3) | (sizes == 20))
+        start = time.perf_counter()
+        out = find_copy(fam, 10, budget_ms=200.0)
+        elapsed = time.perf_counter() - start
+        assert out.status == "inconclusive"
+        assert out.nodes_explored > 1
+        assert elapsed < 5.0
+        tracemalloc.start()
+        try:
+            out = find_copy(fam, 10, budget_ms=200.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.status == "inconclusive"
+        assert out.nodes_explored > 1
+        assert peak < 16 * 2**20
 
     def test_found_beats_budget(self):
         out = find_copy(full_family(3), 2, budget_ms=60000.0)
