@@ -99,38 +99,6 @@ def copy_image_masks(n: int, m: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def family_has_copy(family_mask: int, n: int, m: int) -> bool:
-    """Oracle-side copy test: does the family (as a bitmask over subset
-    values) cover some catalogued image family?"""
-    return any(family_mask & img == img for img in copy_image_masks(n, m))
-
-
-def naive_count_embeddings(members: list[int], n: int) -> int:
-    """Count embeddings of 2^[n] with images among ``members`` by testing
-    every ordered selection of 2^n distinct members against the full
-    biconditional.  Exponential; oracle use only."""
-    size = 1 << n
-    if len(members) < size:
-        return 0
-    count = 0
-    for images in permutations(members, size):
-        ok = True
-        for a in range(size):
-            for b in range(a + 1, size):
-                sub_ab = a & b == a
-                sub_ba = a & b == b
-                img_ab = images[a] & images[b] == images[a]
-                img_ba = images[a] & images[b] == images[b]
-                if sub_ab != img_ab or sub_ba != img_ba:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
-
-
 def _good_mask_array(n: int, m: int) -> np.ndarray:
     """has[r] over all red masks r: does the red class of r contain a
     copy?  Vectorized superset test against the copy catalog."""

@@ -91,10 +91,6 @@ class SetFamily:
         """The family of complements of the members."""
         return SetFamily(self.space, self.mask[::-1].copy())
 
-    def membership_bytes(self) -> bytes:
-        """One byte per subset (0/1), for cheap constant-time lookups."""
-        return self.mask.astype(np.uint8).tobytes()
-
 
 @dataclass(frozen=True)
 class Coloring:

@@ -13,7 +13,7 @@ ascending order.  So the search meets complete assignments in
 lexicographic order of their image vectors (read in assignment order),
 and the first find is the lexicographically smallest embedding.
 
-With prune=True three provable reductions apply; prune=False walks the
+With prune=True four provable reductions apply; prune=False walks the
 plain tree, and outcomes, first-mode witnesses, counts and distinct image
 families are the same either way.
 
@@ -46,10 +46,30 @@ families are the same either way.
     is canonical and the reduced search meets it first.  Candidates are
     ascending, so the test x > f({k-1}) is a bisection into the candidate
     list rather than a per-candidate comparison.
+  * target symmetry: only root pairs (b, t) that are the lexicographic
+    minimum of their orbit under a group G of automorphisms of the family
+    are searched.  G is generated by the candidate permutations of [m]
+    (adjacent elements; on even m, adjacent pairs and the swap inside
+    every pair) that map every member into F, each checked on F; being
+    bijections, they map F onto F.  G itself is never enumerated.
+    Proof.  A tau in G preserves inclusion and maps F onto F, so
+    f -> tau o f is a bijection from the embeddings rooted at (b, t) onto
+    those rooted at (tau b, tau t); it commutes with source symmetry
+    (f -> f o s), which fixes the root.  So every embedding is moved onto
+    one rooted at a representative (absence); the pairs of an orbit root
+    equally many (count mode weights each representative by its orbit
+    size, then by n!); and the image families found at the
+    representatives, closed under G, are all of them (distinct count).
+    Were tau(b, t) < (b, t), tau o f would be smaller than f; so the
+    smallest embedding has an orbit-minimal root, and first-mode
+    witnesses are unchanged.  The orbits are the connected components of
+    the graph joining each root pair to its images under the generators;
+    the first pair of each, in ascending order, is its minimum.
 
-Reported node counts follow a fixed convention: one node per accepted
-(bottom, top) root pair and one per accepted inner assignment.  Candidate
-checks run in a fixed order (cardinality window, source symmetry,
+Reported node counts follow a fixed convention: one node per searched
+(bottom, top) root pair and one per accepted inner assignment.  Root pairs
+are checked for the root gap before target symmetry, and candidates run
+their checks in a fixed order (cardinality window, source symmetry,
 membership, reuse, incomparability), so prune hit counts are reproducible;
 they audit completed exhaustions.
 """
@@ -58,22 +78,27 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+
+import numpy as np
 
 from .coloring import Color, Coloring, SetFamily
 from .lattice import ElementSet
 
 MAX_SOURCE_N = 12
 
-_PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry")
+_PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry", "target-symmetry")
 
 # A materialised candidate list holds at most 2**_LOW_BITS entries, and an
 # engine caches at most _CACHED_ENTRIES of them in total.
 _LOW_BITS = 10
 _CACHED_ENTRIES = 1 << 16
+
+# Root pairs are enumerated in blocks of bottoms, about this many
+# (bottom, member) tests per block.
+_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -198,20 +223,16 @@ def _prepare_sources(n: int):
         raise ValueError(f"source cube parameter {n} outside 1..{MAX_SOURCE_N}")
     full = (1 << n) - 1
     order = [0, full] + sorted(range(1, full), key=lambda s: (s.bit_count(), s))
+    order_arr = np.array(order, dtype=np.int64)
     subs, sups, incs = [], [], []
     for k, s in enumerate(order):
-        sub_k, sup_k, inc_k = [], [], []
-        for j in range(k):
-            t = order[j]
-            if t & s == t:
-                sub_k.append(j)
-            elif s & t == s:
-                sup_k.append(j)
-            else:
-                inc_k.append(j)
-        subs.append(sub_k)
-        sups.append(sup_k)
-        incs.append(inc_k)
+        earlier = order_arr[:k]
+        meet = earlier & s
+        is_sub = meet == earlier
+        is_sup = ~is_sub & (meet == s)
+        subs.append(np.flatnonzero(is_sub).tolist())
+        sups.append(np.flatnonzero(is_sup).tolist())
+        incs.append(np.flatnonzero(~(is_sub | is_sup)).tolist())
     return order, subs, sups, incs
 
 
@@ -238,8 +259,96 @@ def _window_skipped(k: int, lo: int, hi: int) -> int:
     return (1 << k) - sum(comb(k, j) for j in range(max(lo, 0), min(hi, k) + 1))
 
 
+def _swap(x, mask: int, shift: int):
+    """Exchange bit i with bit i + shift for every bit i of mask, in an int
+    or elementwise in an integer array."""
+    t = ((x >> shift) ^ x) & mask
+    return x ^ t ^ (t << shift)
+
+
+def _candidate_swaps(m: int) -> list[tuple[int, int]]:
+    """Candidate automorphism generators over [m] as (mask, shift) bit
+    swaps: adjacent elements and, on even m, adjacent pairs and the swap
+    inside every pair at once."""
+    swaps = [(1 << i, 1) for i in range(m - 1)]
+    if m % 2 == 0:
+        swaps += [(3 << i, 2) for i in range(0, m - 2, 2)]
+        swaps.append((((1 << m) - 1) // 3, 1))
+    return list(dict.fromkeys(swaps))
+
+
+def _family_swaps(family: SetFamily) -> list[tuple[int, int]]:
+    """The candidate swaps that map every member into the family, each
+    checked by one vectorised pass over the members."""
+    members = family.member_values()
+    return [
+        g for g in _candidate_swaps(family.space.m) if family.mask[_swap(members, *g)].all()
+    ]
+
+
+def _root_pairs(
+    family: SetFamily,
+    n: int,
+    prune: bool,
+    swaps: list[tuple[int, int]],
+    deadline: float | None,
+    hits: dict[str, int],
+) -> list[tuple[int, int, int]]:
+    """The root pairs (bottom, top, orbit size) to search, ascending: every
+    pair of members with bottom strictly inside top, less the root-gap
+    rejections (prune only) and the pairs that are not the minimum of their
+    orbit under the swaps.  Both rejections are counted into hits."""
+    members = family.member_values()
+    sizes = np.bitwise_count(members)
+    bottoms, tops = [members[:0]], [members[:0]]
+    step = max(1, _PAIR_BLOCK // max(len(members), 1))
+    for lo in range(0, len(members), step):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _DeadlineHit
+        b = members[lo : lo + step, None]
+        inside = ((members & b) == b) & (members != b)
+        if prune:
+            fits = sizes >= sizes[lo : lo + step, None] + n
+            hits["root-gap"] += int(np.count_nonzero(inside & ~fits))
+            inside &= fits
+        rows, cols = np.nonzero(inside)
+        bottoms.append(members[lo + rows])
+        tops.append(members[cols])
+    bottoms, tops = np.concatenate(bottoms), np.concatenate(tops)
+    orbit_sizes = np.ones(len(bottoms), dtype=np.int64)
+    if swaps:
+        # Orbits are the components of the graph joining each pair to its
+        # images under the swaps (each swap is an involution).  Keys are
+        # ascending, so the smallest index of a component is the orbit
+        # minimum: propagate minimum labels, each round followed by pointer
+        # jumping to a fixed point.  A swap moves bit i to i + shift < m
+        # only, so one swap with the mask doubled acts on both halves of a
+        # key at once.
+        m = family.space.m
+        key = (bottoms.astype(np.uint64) << np.uint64(m)) | tops.astype(np.uint64)
+        label = np.arange(len(key))
+        while True:
+            if deadline is not None and time.monotonic() > deadline:
+                raise _DeadlineHit
+            lower = label
+            for mask, shift in swaps:
+                image = np.searchsorted(key, _swap(key, mask | mask << m, shift))
+                lower = np.minimum(lower, label[image])
+            jumped = lower[lower]
+            while not np.array_equal(jumped, lower):
+                lower, jumped = jumped, jumped[jumped]
+            if np.array_equal(lower, label):
+                break
+            label = lower
+        reps = np.flatnonzero(label == np.arange(len(key)))
+        orbit_sizes = np.bincount(label)[reps]
+        hits["target-symmetry"] += len(key) - len(reps)
+        bottoms, tops = bottoms[reps], tops[reps]
+    return list(zip(bottoms.tolist(), tops.tolist(), orbit_sizes.tolist()))
+
+
 class _Engine:
-    """Sequential backtracking over one list of root bottoms."""
+    """Sequential backtracking over one list of root pairs."""
 
     def __init__(
         self,
@@ -274,28 +383,22 @@ class _Engine:
         self.found: tuple[int, ...] | None = None
         self._work = 0
 
-    def run(self, bottoms: list[int], members: list[int]) -> None:
-        n = self.n
-        for b in bottoms:
-            self._check_deadline(len(members))
-            pc_b = b.bit_count()
-            for t in members:
-                if t & b != b or t == b:
-                    continue
-                if self.prune and t.bit_count() - pc_b < n:
-                    self.prune_hits["root-gap"] += 1
-                    continue
-                self.nodes += 1
-                self._check_deadline()
-                self.images[0] = b
-                self.images[1] = t
-                self.used = {b, t}
-                if self._extend(2) and self.mode == "first":
-                    return
+    def run(self, pairs: list[tuple[int, int, int]]) -> None:
+        for b, t, orbit in pairs:
+            self.nodes += 1
+            self._check_deadline()
+            self.images[0] = b
+            self.images[1] = t
+            self.used = {b, t}
+            before = self.count
+            if self._extend(2) and self.mode == "first":
+                return
+            # Every pair of the orbit roots as many embeddings as (b, t).
+            self.count += (orbit - 1) * (self.count - before)
 
     def _check_deadline(self, work: int = 1) -> None:
         """Look at the clock once about every 256 units of work: accepted
-        nodes, candidates walked, or root pairs tried."""
+        nodes or candidates walked."""
         if self.deadline is None:
             return
         self._work += work
@@ -401,14 +504,13 @@ def _run_engine(
     mode: str,
     prune: bool,
     deadline: float | None,
-    bottoms: list[int],
-    members: list[int],
+    pairs: list[tuple[int, int, int]],
     collect: set | None = None,
 ) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
     eng = _Engine(family, n, mode, prune, deadline, collect)
     hit = False
     try:
-        eng.run(bottoms, members)
+        eng.run(pairs)
     except _DeadlineHit:
         hit = True
     # Each canonical embedding stands for its orbit of n! labeled maps.
@@ -417,8 +519,7 @@ def _run_engine(
 
 
 def _search_worker(args) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
-    family, n, mode, prune, deadline, bottoms, members = args
-    return _run_engine(family, n, mode, prune, deadline, bottoms, members)
+    return _run_engine(*args)
 
 
 def find_copy(
@@ -434,9 +535,12 @@ def find_copy(
     mode="first" stops at the embedding minimal in the deterministic branch
     order; mode="count" exhausts the tree and counts embeddings as labeled
     maps.  A budget turns an unfinished run into status "inconclusive",
-    never "absent".  With several workers the root bottoms are split round
-    robin; every worker runs to completion and the lowest-bottom find wins,
-    so outcomes and first-mode witnesses match the sequential run.
+    never "absent".  The root pairs to search are listed once, ascending
+    (with prune=True only the orbit representatives under the verified
+    automorphisms of the family); several workers take that list round
+    robin, every worker runs to completion and the find with the lowest
+    root pair wins, so outcomes and first-mode witnesses match the
+    sequential run.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -451,22 +555,27 @@ def find_copy(
         count = 0 if mode == "count" else None
         return SearchOutcome("absent", None, count, 0, dict.fromkeys(_PRUNE_NAMES, 0), elapsed)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    members = family.member_values().tolist()
-    if workers <= 1 or len(members) < 2:
-        found, count, nodes, hits, hit_deadline = _run_engine(
-            family, n, mode, prune, deadline, members, members
-        )
-        results = [(found, count, nodes, hits, hit_deadline)]
+    hits = dict.fromkeys(_PRUNE_NAMES, 0)
+    swaps = _family_swaps(family) if prune else []
+    try:
+        pairs = _root_pairs(family, n, prune, swaps, deadline, hits)
+    except _DeadlineHit:
+        elapsed = (time.perf_counter() - start) * 1000.0
+        return SearchOutcome("inconclusive", None, None, 0, hits, elapsed)
+    if workers <= 1 or len(pairs) < 2:
+        results = [_run_engine(family, n, mode, prune, deadline, pairs)]
     else:
         jobs = [
-            (family, n, mode, prune, deadline, members[i::workers], members)
-            for i in range(workers)
-            if members[i::workers]
+            (family, n, mode, prune, deadline, pairs[i::workers])
+            for i in range(min(workers, len(pairs)))
         ]
+        # Imported here: commands that never split a search skip the cost
+        # of loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_search_worker, jobs))
     nodes = sum(r[2] for r in results)
-    hits = dict.fromkeys(_PRUNE_NAMES, 0)
     for r in results:
         for name in _PRUNE_NAMES:
             hits[name] += r[3][name]
@@ -528,14 +637,23 @@ def count_distinct_copies(family: SetFamily, n: int, prune: bool = True) -> tupl
 
     The distinct count deduplicates by image set; kept sequential and
     capped small since the collection can grow with the labeled count.
+    With prune=True the image families found at the representative root
+    pairs are closed under the verified automorphisms of the family.
     """
     if n > 6:
         raise ValueError(f"distinct-copy collection capped at n <= 6, got {n}")
     if n > family.space.m:
         return 0, 0
-    members = family.member_values().tolist()
+    swaps = _family_swaps(family) if prune else []
+    pairs = _root_pairs(family, n, prune, swaps, None, dict.fromkeys(_PRUNE_NAMES, 0))
     images: set[tuple[int, ...]] = set()
-    found, count, nodes, hits, hit_deadline = _run_engine(
-        family, n, "count", prune, None, members, members, images
-    )
+    count = _run_engine(family, n, "count", prune, None, pairs, images)[1]
+    frontier = list(images)
+    while frontier:
+        image_family = frontier.pop()
+        for g in swaps:
+            image = tuple(sorted(_swap(x, *g) for x in image_family))
+            if image not in images:
+                images.add(image)
+                frontier.append(image)
     return count, len(images)

@@ -8,6 +8,8 @@ Values frozen in the test modules were produced by these routines.
 
 from itertools import combinations, permutations
 
+from cuberamsey import copy_image_masks
+
 
 def subset_elements(bits: int) -> tuple[int, ...]:
     out = []
@@ -183,3 +185,96 @@ def check_embedding_literal(images, n: int) -> bool:
         for b in range(size)
         if a != b
     )
+
+
+def family_has_copy(family_mask: int, n: int, m: int) -> bool:
+    """Copy test against the brute-force catalog: does the family (as a
+    bitmask over subset values) cover some catalogued image family?"""
+    return any(family_mask & img == img for img in copy_image_masks(n, m))
+
+
+def naive_count_embeddings(members: list[int], n: int) -> int:
+    """Count embeddings of 2^[n] with images among ``members`` by testing
+    every ordered selection of 2^n distinct members against the full
+    biconditional on bit masks.  Exponential."""
+    size = 1 << n
+    if len(members) < size:
+        return 0
+    count = 0
+    for images in permutations(members, size):
+        ok = True
+        for a in range(size):
+            for b in range(a + 1, size):
+                sub_ab = a & b == a
+                sub_ba = a & b == b
+                img_ab = images[a] & images[b] == images[a]
+                img_ba = images[a] & images[b] == images[b]
+                if sub_ab != img_ab or sub_ba != img_ba:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def prepare_sources_loop(n: int):
+    """Assignment order over 2^[n] and, per position, the earlier positions
+    holding proper subsets, proper supersets and incomparable sources, by a
+    plain loop over every pair of positions."""
+    full = (1 << n) - 1
+    order = [0, full] + sorted(range(1, full), key=lambda s: (popcount(s), s))
+    subs, sups, incs = [], [], []
+    for k, s in enumerate(order):
+        sub_k, sup_k, inc_k = [], [], []
+        for j in range(k):
+            t = order[j]
+            if t & s == t:
+                sub_k.append(j)
+            elif s & t == s:
+                sup_k.append(j)
+            else:
+                inc_k.append(j)
+        subs.append(sub_k)
+        sups.append(sup_k)
+        incs.append(inc_k)
+    return order, subs, sups, incs
+
+
+def permute_elements(bits: int, perm: dict[int, int]) -> int:
+    """Image of a subset under an element map given on 1-based elements
+    (elements absent from ``perm`` stay fixed)."""
+    out = 0
+    for j in subset_elements(bits):
+        out |= 1 << (perm.get(j, j) - 1)
+    return out
+
+
+def root_orbits_literal(members, n: int, perms) -> list[tuple[int, int, int]]:
+    """Orbit-minimal root pairs (bottom, top, orbit size), ascending, of the
+    pairs b < t of members with |t| - |b| >= n, under the group generated
+    by the element maps ``perms``; orbits by breadth-first closure."""
+    pairs = sorted(
+        (b, t)
+        for b in members
+        for t in members
+        if b != t and as_frozenset(b) <= as_frozenset(t) and popcount(t) - popcount(b) >= n
+    )
+    seen = set()
+    out = []
+    for pair in pairs:
+        if pair in seen:
+            continue
+        orbit = {pair}
+        frontier = [pair]
+        while frontier:
+            b, t = frontier.pop()
+            for perm in perms:
+                image = (permute_elements(b, perm), permute_elements(t, perm))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        out.append((pair[0], pair[1], len(orbit)))
+    return out

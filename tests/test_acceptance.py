@@ -16,6 +16,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from oracles import naive_count_embeddings
 from conftest import random_coloring, random_family
 from cuberamsey import (
     Color,
@@ -32,7 +33,6 @@ from cuberamsey import (
     make_c0,
     make_layered,
     missed_pairs,
-    naive_count_embeddings,
     parse_coloring,
     ramsey_bruteforce,
     render_coloring,

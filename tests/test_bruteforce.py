@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from oracles import family_has_copy, naive_count_embeddings
 from conftest import random_members
 from cuberamsey import (
     CapacityError,
@@ -15,10 +16,8 @@ from cuberamsey import (
     contains_monochromatic_copy,
     copy_image_masks,
     exists_good_coloring,
-    family_has_copy,
     find_copy,
     make_layered,
-    naive_count_embeddings,
     ramsey_bruteforce,
     render_coloring,
 )

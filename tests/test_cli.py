@@ -165,10 +165,11 @@ class TestFindCopyCommand:
         fields, _ = parse_report(out)
         assert fields["red"] == "absent"
         assert fields["blue"] == "absent"
-        assert fields["red_nodes"] == "210"
+        assert fields["red_nodes"] == "42"
         assert fields["red_prune_root-gap"] == "40"
-        assert fields["red_prune_cardinality-window"] == "760"
-        assert fields["red_prune_source-symmetry"] == "840"
+        assert fields["red_prune_cardinality-window"] == "152"
+        assert fields["red_prune_source-symmetry"] == "168"
+        assert fields["red_prune_target-symmetry"] == "4"
         assert "red_prune_top-children" not in fields
 
     def test_budget_turns_run_inconclusive(self, capsys, c0n4):

@@ -68,10 +68,6 @@ class TestSetFamily:
         for v in range(space.size):
             assert comp.contains(v) == fam.contains(space.full_mask ^ v)
 
-    def test_membership_bytes(self):
-        fam = SetFamily.from_sets(CubeSpace(2), [0, 3])
-        assert fam.membership_bytes() == bytes([1, 0, 0, 1])
-
     def test_rejects_bad_mask(self):
         with pytest.raises(ValueError):
             SetFamily(CubeSpace(2), np.zeros(3, dtype=bool))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import naive_count_embeddings
 from conftest import random_family
 from cuberamsey import (
     Color,
@@ -21,13 +22,12 @@ from cuberamsey import (
     find_copy,
     make_c0,
     make_layered,
-    naive_count_embeddings,
     verify_embedding,
     verify_no_copy,
 )
 from cuberamsey import search
 
-PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry")
+PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry", "target-symmetry")
 
 # (n, m) -> (labeled embeddings, distinct image families) in the full cube.
 # Derived with the permutation oracle; 19 = 3^3 - 2^3 and 6 = 3! were also
@@ -50,6 +50,32 @@ def full_family(m):
 
 def members_of(fam):
     return [int(v) for v in fam.member_values()]
+
+
+def swap_as_perm(mask, shift):
+    """The element map of a (mask, shift) bit swap, on 1-based elements."""
+    perm = {}
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            perm[i + 1] = i + 1 + shift
+            perm[i + 1 + shift] = i + 1
+    return perm
+
+
+def group_order(perms, m):
+    """Order of the group of element permutations generated by ``perms``."""
+    gens = [tuple(p.get(j, j) for j in range(1, m + 1)) for p in perms]
+    identity = tuple(range(1, m + 1))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = tuple(h[g[j] - 1] for j in range(m))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return len(group)
 
 
 class TestVerifyEmbedding:
@@ -232,11 +258,12 @@ class TestLayeredAbsence:
         for color in (Color.RED, Color.BLUE):
             out = verify_no_copy(lay.color_class(color), 3)
             assert out.status == "absent"
-            assert out.nodes_explored == 210
+            assert out.nodes_explored == 42
             assert out.prune_hits == {
                 "root-gap": 40,
-                "cardinality-window": 760,
-                "source-symmetry": 840,
+                "cardinality-window": 152,
+                "source-symmetry": 168,
+                "target-symmetry": 4,
             }
 
     def test_prune_off_explores_more_but_agrees(self):
@@ -255,6 +282,9 @@ class TestPruneEquivalence:
                 a = find_copy(full_family(m), n, mode="count", prune=True)
                 b = find_copy(full_family(m), n, mode="count", prune=False)
                 assert (a.status, a.count) == (b.status, b.count)
+                a = find_copy(full_family(m), n, prune=True)
+                b = find_copy(full_family(m), n, prune=False)
+                assert (a.status, a.embedding) == (b.status, b.embedding)
                 assert count_distinct_copies(full_family(m), n, prune=True) == (
                     count_distinct_copies(full_family(m), n, prune=False)
                 )
@@ -297,6 +327,105 @@ class TestPruneEquivalence:
             assert a.embedding == b.embedding
 
 
+class TestTargetSymmetry:
+    def test_layered_and_paired_families_match_plain_search(self):
+        cases = [
+            (make_layered(m).color_class(color), n)
+            for m in (3, 4, 5)
+            for color in (Color.RED, Color.BLUE)
+            for n in (1, 2, 3)
+        ]
+        cases += [
+            (make_c0(k).color_class(color), n)
+            for k in (2, 3)
+            for color in (Color.RED, Color.BLUE)
+            for n in range(1, k + 1)
+        ]
+        for fam, n in cases:
+            a = find_copy(fam, n, prune=True)
+            b = find_copy(fam, n, prune=False)
+            assert (a.status, a.embedding) == (b.status, b.embedding)
+            a = find_copy(fam, n, mode="count", prune=True)
+            b = find_copy(fam, n, mode="count", prune=False)
+            assert (a.status, a.count) == (b.status, b.count)
+            assert count_distinct_copies(fam, n, prune=True) == (
+                count_distinct_copies(fam, n, prune=False)
+            )
+
+    def test_paired_scheme_q8_against_every_root_pair(self, monkeypatch):
+        # prune=False takes about 20 s here, so the reference keeps the
+        # other reductions and tries every root pair.
+        c0 = make_c0(4)
+        for color in (Color.RED, Color.BLUE):
+            fam = c0.color_class(color)
+            assert find_copy(fam, 4).status == "absent"
+            assert find_copy(fam, 4, mode="count").count == 0
+            assert count_distinct_copies(fam, 4) == (0, 0)
+        monkeypatch.setattr(search, "_family_swaps", lambda family: [])
+        for color, nodes in ((Color.RED, 36151), (Color.BLUE, 86132)):
+            out = find_copy(c0.color_class(color), 4)
+            assert out.status == "absent"
+            assert out.nodes_explored == nodes
+            assert out.prune_hits["target-symmetry"] == 0
+
+    @pytest.mark.parametrize("n,order", [(4, 48), (5, 120), (6, 1440)])
+    def test_paired_scheme_group_orders(self, n, order):
+        # n! pair permutations, times the swap inside every pair for even n.
+        c0 = make_c0(n)
+        for color in (Color.RED, Color.BLUE):
+            fam = c0.color_class(color)
+            perms = [swap_as_perm(*g) for g in search._family_swaps(fam)]
+            assert group_order(perms, 2 * n) == order
+            members = set(members_of(fam))
+            for perm in perms:
+                assert {oracles.permute_elements(x, perm) for x in members} == members
+
+    def test_kept_generators_are_automorphisms(self):
+        c0 = make_c0(4).color_class(Color.RED)
+        rng = random.Random(606)
+        toggles = [0, 3, 15, 85, 170, 255] + [rng.randrange(256) for _ in range(10)]
+        kept_counts = set()
+        for v in toggles:
+            fam = c0.with_toggled(v)
+            members = set(members_of(fam))
+            kept = search._family_swaps(fam)
+            for g in search._candidate_swaps(8):
+                perm = swap_as_perm(*g)
+                maps_onto = {oracles.permute_elements(x, perm) for x in members} == members
+                assert (g in kept) == maps_onto, (v, g)
+            kept_counts.add(len(kept))
+        # The empty set is fixed by every map, so toggling it keeps all four.
+        assert 4 in kept_counts and min(kept_counts) < 4
+
+    def test_root_pairs_match_orbit_oracle(self):
+        cases = [
+            (make_c0(3).color_class(Color.RED), 3),
+            (make_c0(4).color_class(Color.RED), 4),
+            (make_c0(4).color_class(Color.BLUE), 4),
+            (make_c0(4).color_class(Color.BLUE).with_toggled(0b00001111), 4),
+            (make_layered(5).color_class(Color.RED), 3),
+            (full_family(4), 2),
+        ]
+        rng = random.Random(707)
+        for _ in range(10):
+            m = rng.randint(2, 6)
+            fam = random_family(m, rng, density=rng.uniform(0.5, 1.0))
+            cases.append((fam, rng.randint(1, m)))
+        for fam, n in cases:
+            swaps = search._family_swaps(fam)
+            hits = dict.fromkeys(PRUNE_NAMES, 0)
+            pairs = search._root_pairs(fam, n, True, swaps, None, hits)
+            perms = [swap_as_perm(*g) for g in swaps]
+            assert pairs == oracles.root_orbits_literal(members_of(fam), n, perms)
+            assert hits["target-symmetry"] == sum(size - 1 for _, _, size in pairs)
+
+
+class TestPrepareSources:
+    def test_matches_pairwise_loop(self):
+        for n in range(1, 9):
+            assert search._prepare_sources(n) == oracles.prepare_sources_loop(n)
+
+
 class TestInWindowGeneration:
     def test_helpers_match_brute_force_filter(self):
         for d in range(1 << 8):
@@ -337,18 +466,19 @@ class TestC0N4Audit:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_frozen_counters(self, workers):
         expected = {
-            Color.RED: (36151, 1004, 318991, 237332),
-            Color.BLUE: (86132, 1088, 814506, 699887),
+            Color.RED: (2784, 1004, 24241, 14538, 420),
+            Color.BLUE: (7339, 1088, 60534, 48836, 424),
         }
         c0 = make_c0(4)
-        for color, (nodes, gap, window, symmetry) in expected.items():
+        for color, (nodes, gap, window, source, target) in expected.items():
             out = find_copy(c0.color_class(color), 4, workers=workers)
             assert out.status == "absent"
             assert out.nodes_explored == nodes
             assert out.prune_hits == {
                 "root-gap": gap,
                 "cardinality-window": window,
-                "source-symmetry": symmetry,
+                "source-symmetry": source,
+                "target-symmetry": target,
             }
 
 
@@ -386,11 +516,11 @@ class TestWorkers:
 
 class TestBudget:
     def test_budget_yields_inconclusive_never_absent(self):
-        # The red class of the paired scheme on [8] has no copy, and full
-        # exhaustion takes seconds, so tiny budgets must stop early.
-        fam = make_c0(4).color_class(Color.RED)
+        # The red class of the paired scheme on [10] has no copy, and full
+        # exhaustion takes minutes, so tiny budgets must stop early.
+        fam = make_c0(5).color_class(Color.RED)
         for budget in (1.0, 5.0, 25.0):
-            out = find_copy(fam, 4, budget_ms=budget)
+            out = find_copy(fam, 5, budget_ms=budget)
             assert out.status == "inconclusive"
             assert out.embedding is None
 
@@ -398,7 +528,7 @@ class TestBudget:
         fam = make_layered(5).color_class(Color.RED)
         out = find_copy(fam, 3, budget_ms=60000.0)
         assert out.status == "absent"
-        assert out.nodes_explored == 210
+        assert out.nodes_explored == 42
 
     def test_budget_holds_with_no_accepted_node(self):
         # The singleton level walks 2^22 candidates, none a member; the
