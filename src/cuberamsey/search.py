@@ -62,9 +62,9 @@ families are the same either way.
     representatives, closed under G, are all of them (distinct count).
     Were tau(b, t) < (b, t), tau o f would be smaller than f; so the
     smallest embedding has an orbit-minimal root, and first-mode
-    witnesses are unchanged.  The orbits are the connected components of
-    the graph joining each root pair to its images under the generators;
-    the first pair of each, in ascending order, is its minimum.
+    witnesses are unchanged.  Root pairs are walked in ascending order, so
+    the first pair met of an orbit is its minimum; its orbit is closed
+    breadth-first under the generators and the rest of it is skipped.
 
 Reported node counts follow a fixed convention: one node per searched
 (bottom, top) root pair and one per accepted inner assignment.  Root pairs
@@ -80,6 +80,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 
 import numpy as np
@@ -95,10 +96,6 @@ _PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry", "target-sym
 # engine caches at most _CACHED_ENTRIES of them in total.
 _LOW_BITS = 10
 _CACHED_ENTRIES = 1 << 16
-
-# Root pairs are enumerated in blocks of bottoms, about this many
-# (bottom, member) tests per block.
-_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -280,75 +277,14 @@ def _candidate_swaps(m: int) -> list[tuple[int, int]]:
 def _family_swaps(family: SetFamily) -> list[tuple[int, int]]:
     """The candidate swaps that map every member into the family, each
     checked by one vectorised pass over the members."""
-    members = family.member_values()
+    members = family.member_values().astype(np.uint32)
     return [
         g for g in _candidate_swaps(family.space.m) if family.mask[_swap(members, *g)].all()
     ]
 
 
-def _root_pairs(
-    family: SetFamily,
-    n: int,
-    prune: bool,
-    swaps: list[tuple[int, int]],
-    deadline: float | None,
-    hits: dict[str, int],
-) -> list[tuple[int, int, int]]:
-    """The root pairs (bottom, top, orbit size) to search, ascending: every
-    pair of members with bottom strictly inside top, less the root-gap
-    rejections (prune only) and the pairs that are not the minimum of their
-    orbit under the swaps.  Both rejections are counted into hits."""
-    members = family.member_values()
-    sizes = np.bitwise_count(members)
-    bottoms, tops = [members[:0]], [members[:0]]
-    step = max(1, _PAIR_BLOCK // max(len(members), 1))
-    for lo in range(0, len(members), step):
-        if deadline is not None and time.monotonic() > deadline:
-            raise _DeadlineHit
-        b = members[lo : lo + step, None]
-        inside = ((members & b) == b) & (members != b)
-        if prune:
-            fits = sizes >= sizes[lo : lo + step, None] + n
-            hits["root-gap"] += int(np.count_nonzero(inside & ~fits))
-            inside &= fits
-        rows, cols = np.nonzero(inside)
-        bottoms.append(members[lo + rows])
-        tops.append(members[cols])
-    bottoms, tops = np.concatenate(bottoms), np.concatenate(tops)
-    orbit_sizes = np.ones(len(bottoms), dtype=np.int64)
-    if swaps:
-        # Orbits are the components of the graph joining each pair to its
-        # images under the swaps (each swap is an involution).  Keys are
-        # ascending, so the smallest index of a component is the orbit
-        # minimum: propagate minimum labels, each round followed by pointer
-        # jumping to a fixed point.  A swap moves bit i to i + shift < m
-        # only, so one swap with the mask doubled acts on both halves of a
-        # key at once.
-        m = family.space.m
-        key = (bottoms.astype(np.uint64) << np.uint64(m)) | tops.astype(np.uint64)
-        label = np.arange(len(key))
-        while True:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _DeadlineHit
-            lower = label
-            for mask, shift in swaps:
-                image = np.searchsorted(key, _swap(key, mask | mask << m, shift))
-                lower = np.minimum(lower, label[image])
-            jumped = lower[lower]
-            while not np.array_equal(jumped, lower):
-                lower, jumped = jumped, jumped[jumped]
-            if np.array_equal(lower, label):
-                break
-            label = lower
-        reps = np.flatnonzero(label == np.arange(len(key)))
-        orbit_sizes = np.bincount(label)[reps]
-        hits["target-symmetry"] += len(key) - len(reps)
-        bottoms, tops = bottoms[reps], tops[reps]
-    return list(zip(bottoms.tolist(), tops.tolist(), orbit_sizes.tolist()))
-
-
 class _Engine:
-    """Sequential backtracking over one list of root pairs."""
+    """Sequential backtracking over one share of the root pairs."""
 
     def __init__(
         self,
@@ -363,6 +299,7 @@ class _Engine:
         self.all_elements = (1 << m) - 1
         self.n = n
         self.member = family.mask.tobytes() if m <= 24 else family.mask
+        self.members = family.member_values().astype(np.uint32)
         self.order, self.subs, self.sups, self.incs = _prepare_sources(n)
         self.positions = len(self.order)
         self.sizes = [s.bit_count() for s in self.order]
@@ -383,8 +320,12 @@ class _Engine:
         self.found: tuple[int, ...] | None = None
         self._work = 0
 
-    def run(self, pairs: list[tuple[int, int, int]]) -> None:
-        for b, t, orbit in pairs:
+    def run(self, swaps: list[tuple[int, int]], share: int = 0, workers: int = 1) -> None:
+        """Search every workers-th representative root pair, from the
+        share-th on.  Each share walks all root pairs to agree on the
+        representatives; share 0 alone counts the root-pair rejections."""
+        hits = self.prune_hits if share == 0 else dict.fromkeys(_PRUNE_NAMES, 0)
+        for b, t, orbit in islice(self._root_pairs(swaps, hits), share, None, workers):
             self.nodes += 1
             self._check_deadline()
             self.images[0] = b
@@ -395,6 +336,46 @@ class _Engine:
                 return
             # Every pair of the orbit roots as many embeddings as (b, t).
             self.count += (orbit - 1) * (self.count - before)
+
+    def _root_pairs(self, swaps: list[tuple[int, int]], hits: dict[str, int]):
+        """Yield the root pairs (bottom, top, orbit size) to search,
+        ascending: pairs of members with bottom strictly inside top, less
+        the root-gap rejections (prune only) and the pairs that are not the
+        minimum of their orbit under the swaps, both counted into hits.
+        The first pair met of an orbit is its minimum; its orbit is closed
+        breadth-first, and the other members wait in pending until they
+        are met and skipped, so memory grows only with the open orbits."""
+        members = self.members
+        sizes = np.bitwise_count(members)
+        pending: set[tuple[int, int]] = set()
+        for i, b in enumerate(members.tolist()):
+            self._check_deadline(len(members))
+            # Supersets of b are larger than b, so only later members.
+            later = members[i + 1 :]
+            inside = (later & b) == b
+            if self.prune:
+                fits = sizes[i + 1 :] >= sizes[i] + self.n
+                hits["root-gap"] += int(np.count_nonzero(inside & ~fits))
+                inside &= fits
+            for t in later[inside].tolist():
+                if (b, t) in pending:
+                    pending.remove((b, t))
+                    hits["target-symmetry"] += 1
+                    self._check_deadline()
+                    continue
+                orbit = {(b, t)}
+                frontier = [(b, t)]
+                while swaps and frontier:
+                    pb, pt = frontier.pop()
+                    self._check_deadline(len(swaps))
+                    for g in swaps:
+                        image = (_swap(pb, *g), _swap(pt, *g))
+                        if image not in orbit:
+                            orbit.add(image)
+                            frontier.append(image)
+                orbit.remove((b, t))
+                pending |= orbit
+                yield b, t, len(orbit) + 1
 
     def _check_deadline(self, work: int = 1) -> None:
         """Look at the clock once about every 256 units of work: accepted
@@ -504,13 +485,15 @@ def _run_engine(
     mode: str,
     prune: bool,
     deadline: float | None,
-    pairs: list[tuple[int, int, int]],
+    swaps: list[tuple[int, int]],
+    share: int = 0,
+    workers: int = 1,
     collect: set | None = None,
 ) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
     eng = _Engine(family, n, mode, prune, deadline, collect)
     hit = False
     try:
-        eng.run(pairs)
+        eng.run(swaps, share, workers)
     except _DeadlineHit:
         hit = True
     # Each canonical embedding stands for its orbit of n! labeled maps.
@@ -535,9 +518,9 @@ def find_copy(
     mode="first" stops at the embedding minimal in the deterministic branch
     order; mode="count" exhausts the tree and counts embeddings as labeled
     maps.  A budget turns an unfinished run into status "inconclusive",
-    never "absent".  The root pairs to search are listed once, ascending
+    never "absent".  The root pairs to search are walked lazily, ascending
     (with prune=True only the orbit representatives under the verified
-    automorphisms of the family); several workers take that list round
+    automorphisms of the family); several workers take that sequence round
     robin, every worker runs to completion and the find with the lowest
     root pair wins, so outcomes and first-mode witnesses match the
     sequential run.
@@ -555,20 +538,12 @@ def find_copy(
         count = 0 if mode == "count" else None
         return SearchOutcome("absent", None, count, 0, dict.fromkeys(_PRUNE_NAMES, 0), elapsed)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    hits = dict.fromkeys(_PRUNE_NAMES, 0)
     swaps = _family_swaps(family) if prune else []
-    try:
-        pairs = _root_pairs(family, n, prune, swaps, deadline, hits)
-    except _DeadlineHit:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return SearchOutcome("inconclusive", None, None, 0, hits, elapsed)
-    if workers <= 1 or len(pairs) < 2:
-        results = [_run_engine(family, n, mode, prune, deadline, pairs)]
+    workers = min(workers, family.size)
+    if workers <= 1:
+        results = [_run_engine(family, n, mode, prune, deadline, swaps)]
     else:
-        jobs = [
-            (family, n, mode, prune, deadline, pairs[i::workers])
-            for i in range(min(workers, len(pairs)))
-        ]
+        jobs = [(family, n, mode, prune, deadline, swaps, i, workers) for i in range(workers)]
         # Imported here: commands that never split a search skip the cost
         # of loading multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -576,6 +551,7 @@ def find_copy(
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_search_worker, jobs))
     nodes = sum(r[2] for r in results)
+    hits = dict.fromkeys(_PRUNE_NAMES, 0)
     for r in results:
         for name in _PRUNE_NAMES:
             hits[name] += r[3][name]
@@ -645,9 +621,8 @@ def count_distinct_copies(family: SetFamily, n: int, prune: bool = True) -> tupl
     if n > family.space.m:
         return 0, 0
     swaps = _family_swaps(family) if prune else []
-    pairs = _root_pairs(family, n, prune, swaps, None, dict.fromkeys(_PRUNE_NAMES, 0))
     images: set[tuple[int, ...]] = set()
-    count = _run_engine(family, n, "count", prune, None, pairs, images)[1]
+    count = _run_engine(family, n, "count", prune, None, swaps, collect=images)[1]
     frontier = list(images)
     while frontier:
         image_family = frontier.pop()

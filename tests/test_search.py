@@ -274,20 +274,32 @@ class TestLayeredAbsence:
         assert all(v == 0 for v in out.prune_hits.values())
 
 
+def assert_prune_agrees(fam, n):
+    """Witness, labeled count and distinct count agree with and without
+    pruning."""
+    a = find_copy(fam, n, mode="count", prune=True)
+    b = find_copy(fam, n, mode="count", prune=False)
+    assert (a.status, a.count) == (b.status, b.count)
+    a = find_copy(fam, n, prune=True)
+    b = find_copy(fam, n, prune=False)
+    assert (a.status, a.embedding) == (b.status, b.embedding)
+    assert count_distinct_copies(fam, n, prune=True) == (
+        count_distinct_copies(fam, n, prune=False)
+    )
+
+
 class TestPruneEquivalence:
     def test_full_cubes(self):
         # Covers the n! orbit factor for every n <= m <= 4, n = 1 included.
         for m in range(1, 5):
             for n in range(1, m + 1):
-                a = find_copy(full_family(m), n, mode="count", prune=True)
-                b = find_copy(full_family(m), n, mode="count", prune=False)
-                assert (a.status, a.count) == (b.status, b.count)
-                a = find_copy(full_family(m), n, prune=True)
-                b = find_copy(full_family(m), n, prune=False)
-                assert (a.status, a.embedding) == (b.status, b.embedding)
-                assert count_distinct_copies(full_family(m), n, prune=True) == (
-                    count_distinct_copies(full_family(m), n, prune=False)
-                )
+                assert_prune_agrees(full_family(m), n)
+
+    def test_layered_families(self):
+        for m in (3, 4, 5):
+            for color in (Color.RED, Color.BLUE):
+                for n in (1, 2, 3):
+                    assert_prune_agrees(make_layered(m).color_class(color), n)
 
     def test_seeded_families_counts_and_witnesses(self):
         for m in range(1, 6):
@@ -318,40 +330,15 @@ class TestPruneEquivalence:
             assert ac.count == bc.count
 
     def test_paired_scheme_q6(self):
-        c = make_c0(3)
+        for k in (2, 3):
+            for color in (Color.RED, Color.BLUE):
+                for n in range(1, k + 1):
+                    assert_prune_agrees(make_c0(k).color_class(color), n)
         for color in (Color.RED, Color.BLUE):
-            fam = c.color_class(color)
-            a = find_copy(fam, 3, prune=True)
-            b = find_copy(fam, 3, prune=False)
-            assert a.status == b.status == "found"
-            assert a.embedding == b.embedding
+            assert find_copy(make_c0(3).color_class(color), 3).status == "found"
 
 
 class TestTargetSymmetry:
-    def test_layered_and_paired_families_match_plain_search(self):
-        cases = [
-            (make_layered(m).color_class(color), n)
-            for m in (3, 4, 5)
-            for color in (Color.RED, Color.BLUE)
-            for n in (1, 2, 3)
-        ]
-        cases += [
-            (make_c0(k).color_class(color), n)
-            for k in (2, 3)
-            for color in (Color.RED, Color.BLUE)
-            for n in range(1, k + 1)
-        ]
-        for fam, n in cases:
-            a = find_copy(fam, n, prune=True)
-            b = find_copy(fam, n, prune=False)
-            assert (a.status, a.embedding) == (b.status, b.embedding)
-            a = find_copy(fam, n, mode="count", prune=True)
-            b = find_copy(fam, n, mode="count", prune=False)
-            assert (a.status, a.count) == (b.status, b.count)
-            assert count_distinct_copies(fam, n, prune=True) == (
-                count_distinct_copies(fam, n, prune=False)
-            )
-
     def test_paired_scheme_q8_against_every_root_pair(self, monkeypatch):
         # prune=False takes about 20 s here, so the reference keeps the
         # other reductions and tries every root pair.
@@ -414,7 +401,8 @@ class TestTargetSymmetry:
         for fam, n in cases:
             swaps = search._family_swaps(fam)
             hits = dict.fromkeys(PRUNE_NAMES, 0)
-            pairs = search._root_pairs(fam, n, True, swaps, None, hits)
+            eng = search._Engine(fam, n, "first", True, None)
+            pairs = list(eng._root_pairs(swaps, hits))
             perms = [swap_as_perm(*g) for g in swaps]
             assert pairs == oracles.root_orbits_literal(members_of(fam), n, perms)
             assert hits["target-symmetry"] == sum(size - 1 for _, _, size in pairs)
@@ -572,6 +560,23 @@ class TestBudget:
         assert out.status == "inconclusive"
         assert out.nodes_explored > 1
         assert peak < 16 * 2**20
+
+    def test_large_full_cube_first_mode_stops_early(self):
+        # 43 M root pairs over [16]; the copy sits at the first
+        # representative, so neither time nor memory may grow with them.
+        fam = full_family(16)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            out = find_copy(fam, 2)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.status == "found"
+        assert out.nodes_explored == 3
+        assert elapsed < 2.0
+        assert peak < 32 * 2**20
 
     def test_found_beats_budget(self):
         out = find_copy(full_family(3), 2, budget_ms=60000.0)
