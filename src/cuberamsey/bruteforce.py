@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -110,80 +109,35 @@ def _good_mask_array(n: int, m: int) -> np.ndarray:
     return has
 
 
-@lru_cache(maxsize=32)
-def _perm_index_maps(m: int) -> tuple[tuple[int, ...], ...]:
-    """For every ground-set permutation, the induced map on subset values."""
-    maps = []
-    for perm in permutations(range(m)):
-        table = []
-        for v in range(1 << m):
-            w = 0
-            for j in range(m):
-                if v >> j & 1:
-                    w |= 1 << perm[j]
-            table.append(w)
-        maps.append(tuple(table))
-    return tuple(maps)
-
-
-def _canonical_mask(r: int, m: int) -> int:
-    """Orbit minimum of a red mask under ground permutations and the
-    color swap."""
-    full = (1 << (1 << m)) - 1
-    best = r
-    for table in _perm_index_maps(m):
-        t = 0
-        for v in range(1 << m):
-            if r >> v & 1:
-                t |= 1 << table[v]
-        if t < best:
-            best = t
-        if full ^ t < best:
-            best = full ^ t
-    return best
-
-
 def _coloring_from_mask(r: int, m: int) -> Coloring:
     size = 1 << m
     red = np.fromiter(((r >> v) & 1 for v in range(size)), dtype=bool, count=size)
     return Coloring(CubeSpace(m), red, scheme=f"brute-{r}")
 
 
-def exists_good_coloring(n: int, m: int, symmetry: bool = False) -> BruteForceResult:
+def exists_good_coloring(n: int, m: int) -> BruteForceResult:
     """Exhaust red masks in ascending order; a coloring is good when
-    neither color class covers a catalogued copy.  With symmetry enabled
-    only orbit-minimal masks are inspected; the verdict and the returned
-    coloring are unchanged because goodness is orbit-invariant and the
-    lowest good mask is its own orbit minimum."""
+    neither color class covers a catalogued copy.  Returns the lowest good
+    mask, or none after all 2^(2^m) masks."""
     if not 1 <= m <= MAX_BRUTE_M:
         raise CapacityError(
             f"full coloring enumeration supports 1 <= m <= {MAX_BRUTE_M}, got {m}"
         )
     has = _good_mask_array(n, m)
-    total = len(has)
     good = ~has & ~has[::-1]
-    if symmetry:
-        checked = 0
-        for r in range(total):
-            if _canonical_mask(r, m) != r:
-                continue
-            checked += 1
-            if good[r]:
-                return BruteForceResult(n, m, _coloring_from_mask(r, m), checked)
-        return BruteForceResult(n, m, None, checked)
     idx = np.flatnonzero(good)
     if idx.size:
         r = int(idx[0])
         return BruteForceResult(n, m, _coloring_from_mask(r, m), r + 1)
-    return BruteForceResult(n, m, None, total)
+    return BruteForceResult(n, m, None, len(has))
 
 
-def ramsey_bruteforce(n: int, max_m: int, symmetry: bool = False) -> RamseyScan:
+def ramsey_bruteforce(n: int, max_m: int) -> RamseyScan:
     """Probe m = 1, 2, ... and report the least m where no good coloring
     exists, or an unresolved scan when every probed cube has one."""
     results = []
     for m in range(1, max_m + 1):
-        res = exists_good_coloring(n, m, symmetry)
+        res = exists_good_coloring(n, m)
         results.append(res)
         if res.good_coloring is None:
             return RamseyScan(n, max_m, m, tuple(results))

@@ -57,6 +57,14 @@ def _default_threads() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(threads: int) -> int:
+    """The worker count for --threads: at least 1, at most the CPUs this
+    process may run on."""
+    if threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {threads}")
+    return min(threads, _default_threads())
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -93,6 +101,13 @@ def _restrictive_pairs(prefix: str, coloring: Coloring, n: int) -> tuple[list, b
         pairs.append((f"{prefix}_{sub.name}", value))
     pairs.append((f"{prefix}_restrictive", "holds" if report.holds else "fails"))
     return pairs, report.holds
+
+
+def _restrictive_block(coloring: Coloring, n: int) -> tuple[list, bool]:
+    """The checks of Red and of Red in the dual coloring; both must hold."""
+    red_pairs, red_ok = _restrictive_pairs("red", coloring, n)
+    dual_pairs, dual_ok = _restrictive_pairs("dual-red", dual_coloring(coloring), n)
+    return red_pairs + dual_pairs, red_ok and dual_ok
 
 
 def _outcome_pairs(prefix: str, outcome: SearchOutcome) -> list:
@@ -146,23 +161,21 @@ def cmd_check(args) -> int:
         ("m", str(coloring.space.m)),
         ("scheme", coloring.scheme),
     ]
-    red_pairs, red_ok = _restrictive_pairs("red", coloring, n)
-    dual_pairs, dual_ok = _restrictive_pairs("dual-red", dual_coloring(coloring), n)
-    pairs.extend(red_pairs)
-    pairs.extend(dual_pairs)
-    ok = red_ok and dual_ok
+    block, ok = _restrictive_block(coloring, n)
+    pairs.extend(block)
     pairs.append(("verdict", "restrictive" if ok else "not-restrictive"))
     return _finish(args, pairs, start, EXIT_OK if ok else EXIT_FAIL, args.out)
 
 
 def _run_color_searches(coloring: Coloring, n: int, colors, budget_ms, workers):
-    """Search the selected classes in fixed order, skipping once found."""
+    """Search the selected classes in fixed order, skipping once found.
+    The exit code is EXIT_FOUND after a find, else EXIT_INCONCLUSIVE if a
+    budget ran out, else EXIT_OK."""
     pairs = []
-    found = False
-    inconclusive = False
+    statuses = set()
     for color in colors:
         prefix = color.name.lower()
-        if found:
+        if "found" in statuses:
             pairs.append((prefix, "skipped"))
             continue
         outcome = find_copy(
@@ -170,13 +183,17 @@ def _run_color_searches(coloring: Coloring, n: int, colors, budget_ms, workers):
             budget_ms=budget_ms, workers=workers,
         )
         pairs.extend(_outcome_pairs(prefix, outcome))
-        found = found or outcome.status == "found"
-        inconclusive = inconclusive or outcome.status == "inconclusive"
-    return pairs, found, inconclusive
+        statuses.add(outcome.status)
+    if "found" in statuses:
+        return pairs, EXIT_FOUND
+    if "inconclusive" in statuses:
+        return pairs, EXIT_INCONCLUSIVE
+    return pairs, EXIT_OK
 
 
 def cmd_find_copy(args) -> int:
     start = time.perf_counter()
+    workers = _workers(args.threads)
     coloring = _load(args)
     colors = {
         "red": (Color.RED,),
@@ -191,89 +208,61 @@ def cmd_find_copy(args) -> int:
         ("color", args.color),
         ("budget_ms", "none" if args.budget_ms is None else f"{args.budget_ms:g}"),
     ]
-    search_pairs, found, inconclusive = _run_color_searches(
-        coloring, args.n, colors, args.budget_ms, args.threads
+    search_pairs, code = _run_color_searches(
+        coloring, args.n, colors, args.budget_ms, workers
     )
     pairs.extend(search_pairs)
-    if found:
-        code = EXIT_FOUND
-    elif inconclusive:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_OK
     return _finish(args, pairs, start, code, args.out)
 
 
 def cmd_verify_lower_bound(args) -> int:
+    """n = 3 searches an external coloring of [6]; n >= 4 builds c0 and
+    also checks that it is restrictive.  Verdicts, first match wins:
+    copy-found, inconclusive, not-restrictive, verified."""
     start = time.perf_counter()
     n = args.n
     if n < 3:
         raise UsageError("the lower bound statement starts at n = 3")
+    workers = _workers(args.threads)
+    pairs = [("command", "verify-lower-bound"), ("n", str(n))]
     if n == 3:
         if not args.coloring:
-            pairs = [
-                ("command", "verify-lower-bound"),
-                ("n", "3"),
-                ("route", "external-coloring-required"),
-                ("verdict", "not-covered"),
-            ]
+            pairs.append(("route", "external-coloring-required"))
+            pairs.append(("verdict", "not-covered"))
             return _finish(args, pairs, start, EXIT_NOT_COVERED, args.out)
         coloring = load_coloring(args.coloring)
         if coloring.space.m != 6:
             raise UsageError(
                 f"n=3 needs a coloring of [6], file has m={coloring.space.m}"
             )
-        pairs = [
-            ("command", "verify-lower-bound"),
-            ("n", "3"),
-            ("m", "6"),
-            ("scheme", coloring.scheme),
-            ("route", "external-coloring"),
-        ]
-        search_pairs, found, inconclusive = _run_color_searches(
-            coloring, n, (Color.RED, Color.BLUE), args.budget_ms, args.threads
-        )
-        pairs.extend(search_pairs)
-        if found:
-            pairs.append(("verdict", "copy-found"))
-            return _finish(args, pairs, start, EXIT_FOUND, args.out)
-        if inconclusive:
-            pairs.append(("verdict", "inconclusive"))
-            return _finish(args, pairs, start, EXIT_INCONCLUSIVE, args.out)
-        pairs.append(("verdict", "verified"))
-        pairs.append(("bound", f"R(Q{n},Q{n}) >= {2 * n + 1}"))
-        return _finish(args, pairs, start, EXIT_OK, args.out)
-    if args.coloring:
-        raise UsageError("the external coloring route applies to n = 3 only")
-    coloring = make_c0(n)
-    pairs = [
-        ("command", "verify-lower-bound"),
-        ("n", str(n)),
-        ("m", str(2 * n)),
-        ("scheme", coloring.scheme),
-        ("route", "construction"),
-    ]
-    red_pairs, red_ok = _restrictive_pairs("red", coloring, n)
-    dual_pairs, dual_ok = _restrictive_pairs("dual-red", dual_coloring(coloring), n)
-    pairs.extend(red_pairs)
-    pairs.extend(dual_pairs)
-    restrictive = red_ok and dual_ok
-    search_pairs, found, inconclusive = _run_color_searches(
-        coloring, n, (Color.RED, Color.BLUE), args.budget_ms, args.threads
+        route = "external-coloring"
+    else:
+        if args.coloring:
+            raise UsageError("the external coloring route applies to n = 3 only")
+        coloring = make_c0(n)
+        route = "construction"
+    pairs.append(("m", str(2 * n)))
+    pairs.append(("scheme", coloring.scheme))
+    pairs.append(("route", route))
+    restrictive = True
+    if route == "construction":
+        block, restrictive = _restrictive_block(coloring, n)
+        pairs.extend(block)
+    search_pairs, code = _run_color_searches(
+        coloring, n, (Color.RED, Color.BLUE), args.budget_ms, workers
     )
     pairs.extend(search_pairs)
-    if found:
+    if code == EXIT_FOUND:
         pairs.append(("verdict", "copy-found"))
-        return _finish(args, pairs, start, EXIT_FOUND, args.out)
-    if inconclusive:
+    elif code == EXIT_INCONCLUSIVE:
         pairs.append(("verdict", "inconclusive"))
-        return _finish(args, pairs, start, EXIT_INCONCLUSIVE, args.out)
-    if not restrictive:
+    elif not restrictive:
         pairs.append(("verdict", "not-restrictive"))
-        return _finish(args, pairs, start, EXIT_FAIL, args.out)
-    pairs.append(("verdict", "verified"))
-    pairs.append(("bound", f"R(Q{n},Q{n}) >= {2 * n + 1}"))
-    return _finish(args, pairs, start, EXIT_OK, args.out)
+        code = EXIT_FAIL
+    else:
+        pairs.append(("verdict", "verified"))
+        pairs.append(("bound", f"R(Q{n},Q{n}) >= {2 * n + 1}"))
+    return _finish(args, pairs, start, code, args.out)
 
 
 def cmd_brute_ramsey(args) -> int:

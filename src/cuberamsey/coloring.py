@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    MAX_GROUND_SIZE,
     CubeSpace,
     ElementSet,
     element_sum_parity,
@@ -188,12 +189,6 @@ def dual_coloring(c: Coloring) -> Coloring:
     return Coloring(c.space, red, scheme=scheme)
 
 
-SCHEME_BUILDERS = {
-    "c0": make_c0,
-    "layered": make_layered,
-}
-
-
 class ColoringFormatError(ValueError):
     """Malformed QRC1 input; carries the 1-based line and column."""
 
@@ -232,8 +227,8 @@ def parse_coloring(text: str) -> Coloring:
         m = int(lines[1][2:])
     except ValueError:
         raise ColoringFormatError(f"bad ground-set size {lines[1][2:]!r}", 2, 3) from None
-    if not 1 <= m <= 32:
-        raise ColoringFormatError(f"ground-set size {m} outside 1..32", 2, 3)
+    if not 1 <= m <= MAX_GROUND_SIZE:
+        raise ColoringFormatError(f"ground-set size {m} outside 1..{MAX_GROUND_SIZE}", 2, 3)
     if len(lines) < 3 or not lines[2].startswith("scheme="):
         raise ColoringFormatError("expected scheme=<label>", 3, 1)
     scheme = lines[2][7:]

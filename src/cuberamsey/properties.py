@@ -145,15 +145,6 @@ def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:
     return PropertyReport("flip-susceptible", True, None, checked)
 
 
-def violates_flip_pair(s1: ElementSet, s2: ElementSet, n: int) -> bool:
-    """Literal re-check that (s1, s2) is a qualifying flip pair."""
-    if s1.size != n or s2.size != n:
-        return False
-    if (s1.bits | s2.bits).bit_count() != n + 1:
-        return False
-    return not pair_probe(s1.bits) and not pair_probe(s2.bits)
-
-
 def is_restrictive(family: SetFamily, n: int) -> RestrictiveReport:
     """All four properties, checked in fixed order."""
     reports = (

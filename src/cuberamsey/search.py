@@ -298,7 +298,7 @@ class _Engine:
         m = family.space.m
         self.all_elements = (1 << m) - 1
         self.n = n
-        self.member = family.mask.tobytes() if m <= 24 else family.mask
+        self.member = memoryview(family.mask)
         self.members = family.member_values().astype(np.uint32)
         self.order, self.subs, self.sups, self.incs = _prepare_sources(n)
         self.positions = len(self.order)
@@ -518,26 +518,26 @@ def find_copy(
     mode="first" stops at the embedding minimal in the deterministic branch
     order; mode="count" exhausts the tree and counts embeddings as labeled
     maps.  A budget turns an unfinished run into status "inconclusive",
-    never "absent".  The root pairs to search are walked lazily, ascending
-    (with prune=True only the orbit representatives under the verified
-    automorphisms of the family); several workers take that sequence round
-    robin, every worker runs to completion and the find with the lowest
-    root pair wins, so outcomes and first-mode witnesses match the
-    sequential run.
+    never "absent".  n > m is "absent" at once, with no search; otherwise
+    n > MAX_SOURCE_N raises ValueError before any worker starts.  The root
+    pairs to search are walked lazily, ascending (with prune=True only the
+    orbit representatives under the verified automorphisms of the family);
+    several workers take that sequence round robin, every worker runs to
+    completion and the find with the lowest root pair wins, so outcomes
+    and first-mode witnesses match the sequential run.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    if n > family.space.m or n > MAX_SOURCE_N:
+    if n > family.space.m:
         # No injective size-respecting map exists once n exceeds m.
         elapsed = (time.perf_counter() - start) * 1000.0
-        if n > MAX_SOURCE_N and n <= family.space.m:
-            raise ValueError(f"source cube parameter {n} outside 1..{MAX_SOURCE_N}")
         count = 0 if mode == "count" else None
         return SearchOutcome("absent", None, count, 0, dict.fromkeys(_PRUNE_NAMES, 0), elapsed)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    _prepare_sources(n)  # Past MAX_SOURCE_N this raises before any pool starts.
     swaps = _family_swaps(family) if prune else []
     workers = min(workers, family.size)
     if workers <= 1:

@@ -54,6 +54,19 @@ def pair_free(bits: int, n: int) -> bool:
     return pairs_and_singles(bits, n)[0] == 0
 
 
+def violates_flip_pair(s1, s2, n: int) -> bool:
+    """Whether (s1, s2) is a qualifying flip pair: two pair-free n-sets
+    whose union has n + 1 elements."""
+    a, b = as_frozenset(s1.bits), as_frozenset(s2.bits)
+    return (
+        len(a) == n
+        and len(b) == n
+        and len(a | b) == n + 1
+        and pair_free(s1.bits, n)
+        and pair_free(s2.bits, n)
+    )
+
+
 def ceil_half(n: int) -> int:
     return -(-n // 2)
 
@@ -149,26 +162,6 @@ def has_copy_literal(members, n: int) -> bool:
         ):
             return True
     return False
-
-
-def orbit_min(r: int, m: int) -> int:
-    """Minimum of a red-mask integer's orbit under ground-set permutations
-    and the color swap."""
-    full = (1 << (1 << m)) - 1
-    best = r
-    for perm in permutations(range(m)):
-        t = 0
-        for v in range(1 << m):
-            if r >> v & 1:
-                w = 0
-                for j in range(m):
-                    if v >> j & 1:
-                        w |= 1 << perm[j]
-                t |= 1 << w
-        for cand in (t, full ^ t):
-            if cand < best:
-                best = cand
-    return best
 
 
 def check_embedding_literal(images, n: int) -> bool:

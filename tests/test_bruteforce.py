@@ -158,42 +158,6 @@ class TestExistsGoodColoring:
         for m in (0, 5):
             with pytest.raises(CapacityError):
                 exists_good_coloring(1, m)
-            with pytest.raises(CapacityError):
-                exists_good_coloring(1, m, symmetry=True)
-
-
-class TestSymmetryMode:
-    # (n, m) -> representatives inspected.
-    FROZEN_CHECKED = {
-        (1, 1): 2,
-        (1, 2): 6,
-        (1, 3): 40,
-        (2, 1): 1,
-        (2, 2): 2,
-        (2, 3): 14,
-    }
-
-    @pytest.mark.parametrize("n,m", sorted(FROZEN_CHECKED))
-    def test_same_verdict_and_coloring_as_full_scan(self, n, m):
-        full = exists_good_coloring(n, m)
-        sym = exists_good_coloring(n, m, symmetry=True)
-        assert sym.colorings_checked == self.FROZEN_CHECKED[(n, m)]
-        assert sym.colorings_checked <= full.colorings_checked
-        assert (sym.good_coloring is None) == (full.good_coloring is None)
-        assert sym.good_coloring == full.good_coloring
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_exhaustive_representative_count_matches_orbits(self, m):
-        # When the verdict is "none", symmetry mode inspects exactly one
-        # mask per orbit of the permutation and swap action.
-        reps = {oracles.orbit_min(r, m) for r in range(1 << (1 << m))}
-        none_cases = [
-            (n, mm) for (n, mm), c in self.FROZEN_CHECKED.items() if mm == m
-        ]
-        for n, mm in none_cases:
-            if exists_good_coloring(n, mm).good_coloring is None:
-                sym = exists_good_coloring(n, mm, symmetry=True)
-                assert sym.colorings_checked == len(reps)
 
 
 class TestRamseyScan:
@@ -230,9 +194,6 @@ class TestRamseyScan:
     def test_capacity_propagates(self):
         with pytest.raises(CapacityError):
             ramsey_bruteforce(3, 5)
-
-    def test_symmetry_scan_agrees(self):
-        assert ramsey_bruteforce(2, 4, symmetry=True).value == 4
 
 
 class TestLayeredIsGoodBelowTheBound:

@@ -6,6 +6,8 @@ from conftest import same_stable_report
 from cuberamsey import (
     Color,
     Coloring,
+    Embedding,
+    SearchOutcome,
     load_coloring,
     make_c0,
     make_layered,
@@ -21,13 +23,44 @@ from cuberamsey.cli import (
     EXIT_OK,
     main,
 )
-from cuberamsey.reports import parse_report
+from cuberamsey.reports import parse_report, stable_lines
 
 
 def run(capsys, *args):
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fake_find_copy(monkeypatch, statuses=()):
+    """Replace the search the CLI calls with one that returns the given
+    statuses in call order ("absent" once they run out) and records the
+    workers of each call.  No search runs and no worker pool starts."""
+    calls = []
+    queue = list(statuses)
+
+    def fake(family, n, mode, budget_ms=None, workers=1):
+        calls.append(workers)
+        status = queue.pop(0) if queue else "absent"
+        embedding = None
+        if status == "found":
+            embedding = Embedding.from_values(n, family.space.m, tuple(range(1 << n)))
+        hits = dict.fromkeys(
+            ("root-gap", "cardinality-window", "source-symmetry", "target-symmetry"), 0
+        )
+        return SearchOutcome(status, embedding, None, 0, hits, 0.0)
+
+    monkeypatch.setattr(cli, "find_copy", fake)
+    return calls
+
+
+def tampered_c0(n):
+    """c0 with {1,2,3,4,5} painted red: at n = 4 it misses the pair {7,8},
+    so Red is not restrictive, yet neither class holds a copy of 2^[4]."""
+    c = make_c0(n)
+    red = c.red.copy()
+    red[31] = True
+    return Coloring(c.space, red, scheme="tampered")
 
 
 @pytest.fixture
@@ -104,11 +137,8 @@ class TestCheckCommand:
         assert fields["red_pair-enforcing"].startswith("holds checked=")
 
     def test_corrupted_coloring_fails_with_witness(self, capsys, tmp_path):
-        c = make_c0(4)
-        red = c.red.copy()
-        red[31] = True  # paint {1,2,3,4,5} red; it misses the pair {7,8}
         bad = tmp_path / "bad.qrc1"
-        save_coloring(Coloring(c.space, red, scheme="tampered"), bad)
+        save_coloring(tampered_c0(4), bad)
         code, out, _ = run(capsys, "check", "--n", 4, "--coloring", bad)
         assert code == EXIT_FAIL
         fields, _ = parse_report(out)
@@ -196,6 +226,25 @@ class TestFindCopyCommand:
         )
         assert same_stable_report(first, second)
         assert same_stable_report(first, parallel)
+
+    @pytest.mark.parametrize(
+        "statuses,code,blue",
+        [
+            (("found",), EXIT_FOUND, "skipped"),
+            (("inconclusive", "found"), EXIT_FOUND, "found"),
+            (("absent", "inconclusive"), EXIT_INCONCLUSIVE, "inconclusive"),
+            (("inconclusive", "absent"), EXIT_INCONCLUSIVE, "absent"),
+            (("absent", "absent"), EXIT_OK, "absent"),
+        ],
+    )
+    def test_exit_code_follows_outcomes(self, capsys, monkeypatch, c0n3, statuses, code, blue):
+        fake_find_copy(monkeypatch, statuses)
+        got, out, _ = run(capsys, "find-copy", "--n", 3, "--coloring", c0n3, "--threads", 1)
+        assert got == code
+        fields, _ = parse_report(out)
+        assert fields["red"] == statuses[0]
+        assert fields["blue"] == blue
+        assert "verdict" not in fields
 
     def test_out_file_matches_stdout(self, capsys, layered5, tmp_path):
         report = tmp_path / "report.txt"
@@ -315,6 +364,109 @@ class TestVerifyLowerBoundCommand:
         assert fields["red_restrictive"] == "holds"
 
 
+    VERIFIED_N4 = [
+        "command: verify-lower-bound",
+        "n: 4",
+        "m: 8",
+        "scheme: c0 n=4",
+        "route: construction",
+        "red_pair-enforcing: holds checked=84",
+        "red_miss-forbidding: holds checked=84",
+        "red_not-too-high: holds checked=125",
+        "red_flip-susceptible: holds checked=16",
+        "red_restrictive: holds",
+        "dual-red_pair-enforcing: holds checked=84",
+        "dual-red_miss-forbidding: holds checked=84",
+        "dual-red_not-too-high: holds checked=131",
+        "dual-red_flip-susceptible: holds checked=16",
+        "dual-red_restrictive: holds",
+        "red: absent",
+        "red_nodes: 2784",
+        "red_prune_root-gap: 1004",
+        "red_prune_cardinality-window: 24241",
+        "red_prune_source-symmetry: 14538",
+        "red_prune_target-symmetry: 420",
+        "blue: absent",
+        "blue_nodes: 7339",
+        "blue_prune_root-gap: 1088",
+        "blue_prune_cardinality-window: 60534",
+        "blue_prune_source-symmetry: 48836",
+        "blue_prune_target-symmetry: 424",
+        "verdict: verified",
+        "bound: R(Q4,Q4) >= 9",
+    ]
+
+    def test_construction_route_verified_n4(self, capsys):
+        code, out, _ = run(capsys, "verify-lower-bound", "--n", 4, "--threads", 1)
+        assert code == EXIT_OK
+        assert stable_lines(out) == self.VERIFIED_N4
+
+    def test_copy_free_but_not_restrictive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_c0", tampered_c0)
+        code, out, _ = run(capsys, "verify-lower-bound", "--n", 4, "--threads", 1)
+        assert code == EXIT_FAIL
+        fields, _ = parse_report(out)
+        assert fields["scheme"] == "tampered"
+        assert fields["red_miss-forbidding"] == "fails witness={1,2,3,4,5} checked=84"
+        assert fields["red_restrictive"] == "fails"
+        assert fields["dual-red_restrictive"] == "holds"
+        assert fields["red"] == fields["blue"] == "absent"
+        assert fields["verdict"] == "not-restrictive"
+        assert "bound" not in fields
+
+    def test_n3_external_coloring_verified(self, capsys, monkeypatch, c0n3):
+        # No copy-free coloring of [6] ships, so the searches are replaced.
+        calls = fake_find_copy(monkeypatch)
+        code, out, _ = run(
+            capsys, "verify-lower-bound", "--n", 3, "--coloring", c0n3, "--threads", 1
+        )
+        assert code == EXIT_OK
+        assert calls == [1, 1]
+        counters = [
+            f"{color}_prune_{name}: 0"
+            for color in ("red", "blue")
+            for name in ("root-gap", "cardinality-window", "source-symmetry", "target-symmetry")
+        ]
+        assert stable_lines(out) == [
+            "command: verify-lower-bound",
+            "n: 3",
+            "m: 6",
+            "scheme: c0 n=3",
+            "route: external-coloring",
+            "red: absent",
+            "red_nodes: 0",
+            *counters[:4],
+            "blue: absent",
+            "blue_nodes: 0",
+            *counters[4:],
+            "verdict: verified",
+            "bound: R(Q3,Q3) >= 7",
+        ]
+
+    @pytest.mark.parametrize(
+        "restrictive,statuses,code,verdict",
+        [
+            (False, ("found",), EXIT_FOUND, "copy-found"),
+            (False, ("absent", "found"), EXIT_FOUND, "copy-found"),
+            (True, ("inconclusive", "found"), EXIT_FOUND, "copy-found"),
+            (False, ("inconclusive", "absent"), EXIT_INCONCLUSIVE, "inconclusive"),
+            (True, ("absent", "inconclusive"), EXIT_INCONCLUSIVE, "inconclusive"),
+            (False, ("absent", "absent"), EXIT_FAIL, "not-restrictive"),
+            (True, ("absent", "absent"), EXIT_OK, "verified"),
+        ],
+    )
+    def test_verdict_precedence(self, capsys, monkeypatch, restrictive, statuses, code, verdict):
+        fake_find_copy(monkeypatch, statuses)
+        if not restrictive:
+            monkeypatch.setattr(cli, "make_c0", tampered_c0)
+        got, out, _ = run(capsys, "verify-lower-bound", "--n", 4, "--threads", 1)
+        assert got == code
+        fields, _ = parse_report(out)
+        assert fields["red_restrictive"] == ("holds" if restrictive else "fails")
+        assert fields["verdict"] == verdict
+        assert ("bound" in fields) == (verdict == "verified")
+
+
 class TestBruteRamseyCommand:
     def test_value_two(self, capsys):
         code, out, _ = run(capsys, "brute-ramsey", "--n", 1, "--max-m", 4)
@@ -391,6 +543,29 @@ class TestParserBehavior:
         assert cli._default_threads() == 8
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._default_threads() == 1
+
+    def test_threads_below_one_is_a_usage_error(self, capsys, monkeypatch, c0n3):
+        calls = fake_find_copy(monkeypatch)
+        commands = (("find-copy", "--n", 3, "--coloring", c0n3), ("verify-lower-bound", "--n", 4))
+        for argv in commands:
+            for threads in (0, -2):
+                code, out, err = run(capsys, *argv, "--threads", threads)
+                assert code == EXIT_FAIL
+                assert out == ""
+                assert f"--threads must be at least 1, got {threads}" in err
+        assert calls == []
+
+    def test_threads_clamped_to_available_cpus(self, capsys, monkeypatch, c0n3):
+        monkeypatch.setattr(cli, "_default_threads", lambda: 2)
+        calls = fake_find_copy(monkeypatch)
+        for threads, want in ((1000, 2), (3, 2), (2, 2), (1, 1)):
+            calls.clear()
+            run(capsys, "find-copy", "--n", 3, "--coloring", c0n3, "--threads", threads)
+            run(
+                capsys, "verify-lower-bound", "--n", 3, "--coloring", c0n3,
+                "--threads", threads,
+            )
+            assert calls == [want] * 4
 
     def test_reports_end_with_volatile_fields(self, capsys, c0n3):
         _, out, _ = run(capsys, "check", "--n", 3, "--coloring", c0n3)

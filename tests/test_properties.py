@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from oracles import violates_flip_pair
 from conftest import random_family
 from cuberamsey import (
     Color,
@@ -29,7 +30,6 @@ from cuberamsey.lattice import (
     pair_count_table,
     popcount_table,
 )
-from cuberamsey.properties import violates_flip_pair
 
 
 def family_over(n, values):
