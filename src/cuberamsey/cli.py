@@ -65,6 +65,12 @@ def _workers(threads: int) -> int:
     return min(threads, _default_threads())
 
 
+def _check_budget(budget_ms: float | None) -> None:
+    """--budget-ms is absent or a number of milliseconds, not negative."""
+    if budget_ms is not None and not budget_ms >= 0:
+        raise UsageError(f"--budget-ms must be a number >= 0, got {budget_ms:g}")
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -194,6 +200,7 @@ def _run_color_searches(coloring: Coloring, n: int, colors, budget_ms, workers):
 def cmd_find_copy(args) -> int:
     start = time.perf_counter()
     workers = _workers(args.threads)
+    _check_budget(args.budget_ms)
     coloring = _load(args)
     colors = {
         "red": (Color.RED,),
@@ -224,6 +231,7 @@ def cmd_verify_lower_bound(args) -> int:
     if n < 3:
         raise UsageError("the lower bound statement starts at n = 3")
     workers = _workers(args.threads)
+    _check_budget(args.budget_ms)
     pairs = [("command", "verify-lower-bound"), ("n", str(n))]
     if n == 3:
         if not args.coloring:

@@ -203,11 +203,11 @@ _WRAP = 64
 
 def render_coloring(c: Coloring) -> str:
     """The QRC1 text for a coloring (Unix newlines, 64 chars per payload line)."""
-    payload = np.where(c.red, "R", "B")
-    chars = "".join(payload.tolist())
-    lines = ["QRC1", f"m={c.space.m}", f"scheme={c.scheme}"]
-    lines.extend(chars[i : i + _WRAP] for i in range(0, len(chars), _WRAP))
-    return "\n".join(lines) + "\n"
+    # One byte buffer: the payload rows plus a newline column.
+    width = min(_WRAP, c.red.size)
+    lines = np.full((c.red.size // width, width + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = np.where(c.red, np.uint8(ord("R")), np.uint8(ord("B"))).reshape(-1, width)
+    return f"QRC1\nm={c.space.m}\nscheme={c.scheme}\n" + lines.tobytes().decode("ascii")
 
 
 def save_coloring(c: Coloring, path) -> None:

@@ -71,13 +71,17 @@ Reported node counts follow a fixed convention: one node per searched
 are checked for the root gap before target symmetry, and candidates run
 their checks in a fixed order (cardinality window, source symmetry,
 membership, reuse, incomparability), so prune hit counts are reproducible;
-they audit completed exhaustions.
+they audit completed exhaustions.  Each representative root pair is one
+task; a root-pair rejection counts to the task after it in the walk (after
+the last task, at exhaustion), and a found outcome counts the tasks up to
+and including the find, so no counter depends on the worker count.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -85,7 +89,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .coloring import Color, Coloring, SetFamily
+from .coloring import SetFamily
 from .lattice import ElementSet
 
 MAX_SOURCE_N = 12
@@ -132,9 +136,9 @@ class SearchOutcome:
 
     ``status`` is "found", "absent", or "inconclusive" (budget hit before
     exhaustion).  "absent" always means the full tree was explored;
-    ``nodes_explored`` and ``prune_hits`` then audit the exhaustion claim
-    and are identical for any worker split.  ``count`` is the number of
-    embeddings as labeled maps (count mode only).
+    ``nodes_explored`` and ``prune_hits`` then audit the exhaustion claim.
+    Found and absent outcomes have the same counters for any worker count.
+    ``count`` is the number of embeddings as labeled maps (count mode only).
     """
 
     status: str
@@ -284,7 +288,7 @@ def _family_swaps(family: SetFamily) -> list[tuple[int, int]]:
 
 
 class _Engine:
-    """Sequential backtracking over one share of the root pairs."""
+    """Sequential backtracking below one root pair at a time."""
 
     def __init__(
         self,
@@ -314,68 +318,72 @@ class _Engine:
         self.cached_entries = 0
         self.images = [0] * self.positions
         self.used: set[int] = set()
-        self.nodes = 0
-        self.prune_hits = dict.fromkeys(_PRUNE_NAMES, 0)
-        self.count = 0
-        self.found: tuple[int, ...] | None = None
         self._work = 0
 
-    def run(self, swaps: list[tuple[int, int]], share: int = 0, workers: int = 1) -> None:
-        """Search every workers-th representative root pair, from the
-        share-th on.  Each share walks all root pairs to agree on the
-        representatives; share 0 alone counts the root-pair rejections."""
-        hits = self.prune_hits if share == 0 else dict.fromkeys(_PRUNE_NAMES, 0)
-        for b, t, orbit in islice(self._root_pairs(swaps, hits), share, None, workers):
-            self.nodes += 1
+    def run(self, task) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
+        """Search one task (bottom, top, orbit size, the root-pair rejections
+        walked since the previous task) and return its (find, count times
+        the orbit size, nodes, prune hits, deadline hit)."""
+        b, t, orbit, self.prune_hits = task
+        self.nodes, self.count, self.found = 1, 0, None
+        self.images[:2] = b, t
+        self.used = {b, t}
+        hit = False
+        try:
             self._check_deadline()
-            self.images[0] = b
-            self.images[1] = t
-            self.used = {b, t}
-            before = self.count
-            if self._extend(2) and self.mode == "first":
-                return
-            # Every pair of the orbit roots as many embeddings as (b, t).
-            self.count += (orbit - 1) * (self.count - before)
+            self._extend(2)
+        except _DeadlineHit:
+            hit = True
+        # Every pair of the orbit roots as many embeddings as (b, t).
+        return self.found, self.count * orbit, self.nodes, self.prune_hits, hit
 
-    def _root_pairs(self, swaps: list[tuple[int, int]], hits: dict[str, int]):
-        """Yield the root pairs (bottom, top, orbit size) to search,
-        ascending: pairs of members with bottom strictly inside top, less
-        the root-gap rejections (prune only) and the pairs that are not the
-        minimum of their orbit under the swaps, both counted into hits.
-        The first pair met of an orbit is its minimum; its orbit is closed
-        breadth-first, and the other members wait in pending until they
-        are met and skipped, so memory grows only with the open orbits."""
+    def _root_pairs(self, swaps: list[tuple[int, int]]):
+        """Yield the tasks (bottom, top, orbit size, root-pair rejections
+        since the previous task), ascending: pairs of members with bottom
+        strictly inside top, less the root-gap rejections (prune only) and
+        the pairs that are not the minimum of their orbit under the swaps.
+        Rejections after the last task stay in self.rest; a deadline hit
+        ends the walk and sets self.walk_hit.  The first pair met of an
+        orbit is its minimum; its orbit is closed breadth-first, and the
+        other members wait in pending until they are met and skipped, so
+        memory grows only with the open orbits."""
         members = self.members
         sizes = np.bitwise_count(members)
         pending: set[tuple[int, int]] = set()
-        for i, b in enumerate(members.tolist()):
-            self._check_deadline(len(members))
-            # Supersets of b are larger than b, so only later members.
-            later = members[i + 1 :]
-            inside = (later & b) == b
-            if self.prune:
-                fits = sizes[i + 1 :] >= sizes[i] + self.n
-                hits["root-gap"] += int(np.count_nonzero(inside & ~fits))
-                inside &= fits
-            for t in later[inside].tolist():
-                if (b, t) in pending:
-                    pending.remove((b, t))
-                    hits["target-symmetry"] += 1
-                    self._check_deadline()
-                    continue
-                orbit = {(b, t)}
-                frontier = [(b, t)]
-                while swaps and frontier:
-                    pb, pt = frontier.pop()
-                    self._check_deadline(len(swaps))
-                    for g in swaps:
-                        image = (_swap(pb, *g), _swap(pt, *g))
-                        if image not in orbit:
-                            orbit.add(image)
-                            frontier.append(image)
-                orbit.remove((b, t))
-                pending |= orbit
-                yield b, t, len(orbit) + 1
+        hits = self.rest = dict.fromkeys(_PRUNE_NAMES, 0)
+        self.walk_hit = False
+        try:
+            for i, b in enumerate(members.tolist()):
+                self._check_deadline(len(members))
+                # Supersets of b are larger than b, so only later members.
+                later = members[i + 1 :]
+                inside = (later & b) == b
+                if self.prune:
+                    fits = sizes[i + 1 :] >= sizes[i] + self.n
+                    hits["root-gap"] += int(np.count_nonzero(inside & ~fits))
+                    inside &= fits
+                for t in later[inside].tolist():
+                    if (b, t) in pending:
+                        pending.remove((b, t))
+                        hits["target-symmetry"] += 1
+                        self._check_deadline()
+                        continue
+                    orbit = {(b, t)}
+                    frontier = [(b, t)]
+                    while swaps and frontier:
+                        pb, pt = frontier.pop()
+                        self._check_deadline(len(swaps))
+                        for g in swaps:
+                            image = (_swap(pb, *g), _swap(pt, *g))
+                            if image not in orbit:
+                                orbit.add(image)
+                                frontier.append(image)
+                    orbit.remove((b, t))
+                    pending |= orbit
+                    yield b, t, len(orbit) + 1, hits
+                    hits = self.rest = dict.fromkeys(_PRUNE_NAMES, 0)
+        except _DeadlineHit:
+            self.walk_hit = True
 
     def _check_deadline(self, work: int = 1) -> None:
         """Look at the clock once about every 256 units of work: accepted
@@ -479,30 +487,68 @@ class _Engine:
         return lows
 
 
-def _run_engine(
-    family: SetFamily,
-    n: int,
-    mode: str,
-    prune: bool,
-    deadline: float | None,
-    swaps: list[tuple[int, int]],
-    share: int = 0,
-    workers: int = 1,
-    collect: set | None = None,
-) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
-    eng = _Engine(family, n, mode, prune, deadline, collect)
-    hit = False
+def _start_worker(*args) -> None:
+    """Pool initializer: build the worker process's engine once."""
+    global _worker_engine
+    _worker_engine = _Engine(*args)
+
+
+def _run_in_worker(task):
+    return _worker_engine.run(task)
+
+
+def _pooled(args: tuple, tasks, workers: int):
+    """Run the tasks on a pool of workers and yield their results in task
+    order.  At most ``workers`` tasks are queued or running at a time (a
+    finished task waiting for an earlier one does not count), so the walk
+    stays close to the fold; closing the generator cancels the queued ones."""
+    # Imported here: runs that never split a search skip loading multiprocessing.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=args)
+    queued = deque()
     try:
-        eng.run(swaps, share, workers)
-    except _DeadlineHit:
-        hit = True
+        while True:
+            running = [f for f in queued if not f.done()]
+            new = [pool.submit(_run_in_worker, t) for t in islice(tasks, workers - len(running))]
+            queued += new
+            if not queued:
+                return
+            wait(running + new, return_when=FIRST_COMPLETED)
+            while queued and queued[0].done():
+                yield queued.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _search(
+    family: SetFamily, n: int, mode: str, prune: bool, deadline: float | None,
+    swaps: list[tuple[int, int]], workers: int = 1, collect: set | None = None,
+) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
+    """Walk the root pairs once, run each task in this process (one worker)
+    or on a pool, and fold the results in task order up to the first find
+    or deadline hit: (find, count, nodes, prune hits, deadline hit)."""
+    args = (family, n, mode, prune, deadline)
+    engine = _Engine(*args, collect)
+    tasks = engine._root_pairs(swaps)
+    results = map(engine.run, tasks) if workers <= 1 else _pooled(args, tasks, workers)
+    found, count, nodes, hit, hits = None, 0, 0, False, dict.fromkeys(_PRUNE_NAMES, 0)
+    try:
+        for found, task_count, task_nodes, task_hits, hit in results:
+            count += task_count
+            nodes += task_nodes
+            hits = {name: hits[name] + task_hits[name] for name in _PRUNE_NAMES}
+            if found is not None or hit:
+                break
+        else:
+            # Exhausted, or the walk itself ran out of time.
+            hits = {name: hits[name] + engine.rest[name] for name in _PRUNE_NAMES}
+            hit = engine.walk_hit
+    finally:
+        if workers > 1:
+            results.close()
     # Each canonical embedding stands for its orbit of n! labeled maps.
-    count = eng.count * factorial(n) if prune else eng.count
-    return eng.found, count, eng.nodes, eng.prune_hits, hit
-
-
-def _search_worker(args) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
-    return _run_engine(*args)
+    return found, count * factorial(n) if prune else count, nodes, hits, hit
 
 
 def find_copy(
@@ -520,11 +566,12 @@ def find_copy(
     maps.  A budget turns an unfinished run into status "inconclusive",
     never "absent".  n > m is "absent" at once, with no search; otherwise
     n > MAX_SOURCE_N raises ValueError before any worker starts.  The root
-    pairs to search are walked lazily, ascending (with prune=True only the
-    orbit representatives under the verified automorphisms of the family);
-    several workers take that sequence round robin, every worker runs to
-    completion and the find with the lowest root pair wins, so outcomes
-    and first-mode witnesses match the sequential run.
+    pairs to search (with prune=True only the orbit representatives under
+    the verified automorphisms of the family) are walked once, ascending,
+    and each is one task; the tasks run here or on a pool of workers and
+    are folded in task order, so outcomes, witnesses and counters do not
+    depend on the worker count.  A found outcome counts the tasks up to and
+    including the find.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -533,79 +580,26 @@ def find_copy(
     start = time.perf_counter()
     if n > family.space.m:
         # No injective size-respecting map exists once n exceeds m.
-        elapsed = (time.perf_counter() - start) * 1000.0
-        count = 0 if mode == "count" else None
-        return SearchOutcome("absent", None, count, 0, dict.fromkeys(_PRUNE_NAMES, 0), elapsed)
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    _prepare_sources(n)  # Past MAX_SOURCE_N this raises before any pool starts.
-    swaps = _family_swaps(family) if prune else []
-    workers = min(workers, family.size)
-    if workers <= 1:
-        results = [_run_engine(family, n, mode, prune, deadline, swaps)]
+        found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), False
     else:
-        jobs = [(family, n, mode, prune, deadline, swaps, i, workers) for i in range(workers)]
-        # Imported here: commands that never split a search skip the cost
-        # of loading multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_search_worker, jobs))
-    nodes = sum(r[2] for r in results)
-    hits = dict.fromkeys(_PRUNE_NAMES, 0)
-    for r in results:
-        for name in _PRUNE_NAMES:
-            hits[name] += r[3][name]
+        deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+        _prepare_sources(n)  # Past MAX_SOURCE_N this raises before any pool starts.
+        swaps = _family_swaps(family) if prune else []
+        workers = min(workers, family.size)
+        found, count, nodes, hits, hit = _search(family, n, mode, prune, deadline, swaps, workers)
     elapsed = (time.perf_counter() - start) * 1000.0
-    founds = [r[0] for r in results if r[0] is not None]
-    any_deadline = any(r[4] for r in results)
-    if mode == "first" and founds:
-        best = min(founds, key=lambda vals: (vals[0], vals[1]))
-        embedding = _embedding_from_branch(family, n, best)
+    if found is not None:
+        # The find lists images in assignment order; sort them by source.
+        values = tuple(v for _, v in sorted(zip(_prepare_sources(n)[0], found)))
+        embedding = Embedding.from_values(n, family.space.m, values)
         check = verify_embedding(embedding, family)
         if not check.ok:
             raise AssertionError(f"engine produced an invalid embedding: {check.violation}")
         return SearchOutcome("found", embedding, None, nodes, hits, elapsed)
-    if any_deadline:
-        return SearchOutcome("inconclusive", None, None, nodes, hits, elapsed)
-    if mode == "count":
-        total = sum(r[1] for r in results)
-        status = "found" if total else "absent"
-        return SearchOutcome(status, None, total, nodes, hits, elapsed)
-    return SearchOutcome("absent", None, None, nodes, hits, elapsed)
-
-
-def _embedding_from_branch(
-    family: SetFamily, n: int, branch_values: tuple[int, ...]
-) -> Embedding:
-    order = _prepare_sources(n)[0]
-    values = [0] * (1 << n)
-    for pos, source in enumerate(order):
-        values[source] = branch_values[pos]
-    return Embedding.from_values(n, family.space.m, tuple(values))
-
-
-def verify_no_copy(
-    family: SetFamily,
-    n: int,
-    prune: bool = True,
-    budget_ms: float | None = None,
-    workers: int = 1,
-) -> SearchOutcome:
-    """Absence certificate: a first-mode search whose "absent" outcome
-    records the explored node and prune hit counts for auditing."""
-    return find_copy(family, n, "first", prune, budget_ms, workers)
-
-
-def contains_monochromatic_copy(
-    coloring: Coloring, n: int, prune: bool = True, workers: int = 1
-) -> tuple[Color, Embedding] | None:
-    """Search the Red class then the Blue class, exhaustively; first hit
-    wins."""
-    for color in (Color.RED, Color.BLUE):
-        outcome = find_copy(coloring.color_class(color), n, "first", prune, None, workers)
-        if outcome.status == "found":
-            return color, outcome.embedding
-    return None
+    # First mode counts nothing, so only count mode can be found here.
+    status = "inconclusive" if hit else "found" if count else "absent"
+    count = count if mode == "count" and not hit else None
+    return SearchOutcome(status, None, count, nodes, hits, elapsed)
 
 
 def count_distinct_copies(family: SetFamily, n: int, prune: bool = True) -> tuple[int, int]:
@@ -622,7 +616,7 @@ def count_distinct_copies(family: SetFamily, n: int, prune: bool = True) -> tupl
         return 0, 0
     swaps = _family_swaps(family) if prune else []
     images: set[tuple[int, ...]] = set()
-    count = _run_engine(family, n, "count", prune, None, swaps, collect=images)[1]
+    count = _search(family, n, "count", prune, None, swaps, collect=images)[1]
     frontier = list(images)
     while frontier:
         image_family = frontier.pop()

@@ -24,7 +24,6 @@ from cuberamsey import (
     SetFamily,
     build_flip_graph,
     check_bipartition,
-    contains_monochromatic_copy,
     dual_coloring,
     exists_good_coloring,
     extend_to_maximal,
@@ -37,7 +36,6 @@ from cuberamsey import (
     ramsey_bruteforce,
     render_coloring,
     save_coloring,
-    verify_no_copy,
 )
 from cuberamsey.cli import EXIT_FOUND, EXIT_INCONCLUSIVE, EXIT_OK, main
 from cuberamsey.lattice import (
@@ -108,10 +106,10 @@ def test_criterion_02_stretch_lower_bound_n5(capsys):
 
 def test_criterion_03_n3_copy_found_under_5s_and_recheck_passes(capsys, tmp_path):
     t0 = time.perf_counter()
-    hit = contains_monochromatic_copy(make_c0(3), 3)
+    out = find_copy(make_c0(3).color_class(Color.RED), 3)
     elapsed = time.perf_counter() - t0
-    assert hit is not None
-    color, embedding = hit
+    assert out.status == "found"
+    color, embedding = Color.RED, out.embedding
     FOUND_POOL.append(embedding)
     assert elapsed < 5.0, f"n=3 search took {elapsed:.2f}s"
 
@@ -139,7 +137,7 @@ def test_criterion_04_layered_absent_for_n2_n3_under_60s():
     for n in (2, 3):
         lay = make_layered(2 * n - 1)
         for color in (Color.RED, Color.BLUE):
-            out = verify_no_copy(lay.color_class(color), n)
+            out = find_copy(lay.color_class(color), n)
             assert out.status == "absent", (n, color)
             assert out.nodes_explored >= 0
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,6 @@ from cuberamsey import (
     Color,
     CubeSpace,
     SetFamily,
-    contains_monochromatic_copy,
     copy_image_masks,
     exists_good_coloring,
     find_copy,
@@ -135,7 +134,9 @@ class TestExistsGoodColoring:
             if index is None:
                 continue
             res = exists_good_coloring(n, m)
-            assert contains_monochromatic_copy(res.good_coloring, n) is None
+            for color in Color:
+                fam = res.good_coloring.color_class(color)
+                assert find_copy(fam, n).status == "absent"
 
     def test_q3_good_coloring_payload(self):
         res = exists_good_coloring(2, 3)
@@ -211,4 +212,5 @@ class TestLayeredIsGoodBelowTheBound:
                     r |= 1 << v
             assert not family_has_copy(r, n, m), (n, m)
             assert not family_has_copy(((1 << (1 << m)) - 1) ^ r, n, m), (n, m)
-            assert contains_monochromatic_copy(lay, n) is None
+            for color in Color:
+                assert find_copy(lay.color_class(color), n).status == "absent"

@@ -421,7 +421,7 @@ class TestVerifyLowerBoundCommand:
             capsys, "verify-lower-bound", "--n", 3, "--coloring", c0n3, "--threads", 1
         )
         assert code == EXIT_OK
-        assert calls == [1, 1]
+        assert len(calls) == 2  # 0 is a valid budget: both classes searched
         counters = [
             f"{color}_prune_{name}: 0"
             for color in ("red", "blue")
@@ -554,6 +554,26 @@ class TestParserBehavior:
                 assert out == ""
                 assert f"--threads must be at least 1, got {threads}" in err
         assert calls == []
+
+    def test_bad_budget_is_a_usage_error(self, capsys, monkeypatch, c0n3):
+        # Rejected before any coloring is loaded or built: the coloring file
+        # does not exist, and make_c0 is never called.
+        calls = fake_find_copy(monkeypatch)
+        built = []
+        monkeypatch.setattr(cli, "make_c0", lambda n: built.append(n))
+        commands = (
+            ("find-copy", "--n", 3, "--coloring", "missing.qrc1"),
+            ("verify-lower-bound", "--n", 4),
+        )
+        for argv in commands:
+            for budget in ("nan", "-1"):
+                code, out, err = run(capsys, *argv, "--budget-ms", budget)
+                assert code == EXIT_FAIL
+                assert out == ""
+                assert f"error: --budget-ms must be a number >= 0, got {budget}" in err
+        assert calls == [] and built == []
+        code, _, _ = run(capsys, "find-copy", "--n", 3, "--coloring", c0n3, "--budget-ms", 0)
+        assert code == EXIT_OK and len(calls) == 2  # 0 is a valid budget
 
     def test_threads_clamped_to_available_cpus(self, capsys, monkeypatch, c0n3):
         monkeypatch.setattr(cli, "_default_threads", lambda: 2)

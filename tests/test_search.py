@@ -13,17 +13,16 @@ from oracles import naive_count_embeddings
 from conftest import random_family
 from cuberamsey import (
     Color,
+    Coloring,
     CubeSpace,
     Embedding,
     SetFamily,
-    contains_monochromatic_copy,
     copy_image_masks,
     count_distinct_copies,
     find_copy,
     make_c0,
     make_layered,
     verify_embedding,
-    verify_no_copy,
 )
 from cuberamsey import search
 
@@ -256,7 +255,7 @@ class TestLayeredAbsence:
     def test_layered_q5_has_no_copy_either_side(self):
         lay = make_layered(5)
         for color in (Color.RED, Color.BLUE):
-            out = verify_no_copy(lay.color_class(color), 3)
+            out = find_copy(lay.color_class(color), 3)
             assert out.status == "absent"
             assert out.nodes_explored == 42
             assert out.prune_hits == {
@@ -268,7 +267,7 @@ class TestLayeredAbsence:
 
     def test_prune_off_explores_more_but_agrees(self):
         lay = make_layered(5)
-        out = verify_no_copy(lay.color_class(Color.RED), 3, prune=False)
+        out = find_copy(lay.color_class(Color.RED), 3, prune=False)
         assert out.status == "absent"
         assert out.nodes_explored == 825
         assert all(v == 0 for v in out.prune_hits.values())
@@ -400,12 +399,14 @@ class TestTargetSymmetry:
             cases.append((fam, rng.randint(1, m)))
         for fam, n in cases:
             swaps = search._family_swaps(fam)
-            hits = dict.fromkeys(PRUNE_NAMES, 0)
             eng = search._Engine(fam, n, "first", True, None)
-            pairs = list(eng._root_pairs(swaps, hits))
+            tasks = list(eng._root_pairs(swaps))
+            pairs = [(b, t, size) for b, t, size, _ in tasks]
             perms = [swap_as_perm(*g) for g in swaps]
             assert pairs == oracles.root_orbits_literal(members_of(fam), n, perms)
-            assert hits["target-symmetry"] == sum(size - 1 for _, _, size in pairs)
+            skipped = sum(hits["target-symmetry"] for *_, hits in tasks)
+            skipped += eng.rest["target-symmetry"]
+            assert skipped == sum(size - 1 for _, _, size in pairs)
 
 
 class TestPrepareSources:
@@ -470,13 +471,46 @@ class TestC0N4Audit:
             }
 
 
+def planted_c0_n4(color, mask, free):
+    """c0 n = 4 with every set mask | w, w a submask of free, recolored to
+    color: a planted copy of 2^[4] in that class when free has 4 elements."""
+    c0 = make_c0(4)
+    red = c0.red.copy()
+    w = free
+    while True:
+        red[mask | w] = color is Color.RED
+        if not w:
+            break
+        w = (w - 1) & free
+    return Coloring(c0.space, red, "planted").color_class(color)
+
+
+# Planted-copy families of the kind the benchmark scans: Red copies below a
+# 4-set of [6], Blue copies above {a, 8} over the two pairs of [6] that a's
+# pair leaves out.
+PLANTED = [
+    (Color.RED, 0, 0b001111),
+    (Color.RED, 0, 0b110101),
+    (Color.RED, 0, 0b101110),
+    (Color.BLUE, 0b10000100, 0b110011),
+    (Color.BLUE, 0b10000001, 0b111100),
+]
+
+
 class TestWorkers:
     def test_found_witness_matches_sequential(self):
-        fam = make_c0(3).color_class(Color.RED)
-        seq = find_copy(fam, 3, workers=1)
-        par = find_copy(fam, 3, workers=2)
-        assert par.status == "found"
-        assert par.embedding == seq.embedding
+        # The fold stops at the find in task order, so the counters of a
+        # found outcome do not depend on how far the pool ran ahead either.
+        cases = [(make_c0(3).color_class(Color.RED), 3)]
+        cases += [(planted_c0_n4(*plant), 4) for plant in PLANTED]
+        for fam, n in cases:
+            seq = find_copy(fam, n, workers=1)
+            assert seq.status == "found"
+            for workers in (2, 3):
+                par = find_copy(fam, n, workers=workers)
+                assert (par.status, par.embedding) == (seq.status, seq.embedding)
+                assert par.nodes_explored == seq.nodes_explored
+                assert par.prune_hits == seq.prune_hits
 
     def test_absent_audit_matches_sequential(self):
         fam = make_layered(5).color_class(Color.RED)
@@ -495,20 +529,21 @@ class TestWorkers:
 
     def test_monochromatic_search_with_workers(self):
         c = make_c0(3)
-        seq = contains_monochromatic_copy(c, 3, workers=1)
-        par = contains_monochromatic_copy(c, 3, workers=2)
-        assert seq is not None and par is not None
-        assert par[0] is seq[0]
-        assert par[1] == seq[1]
+        for color in Color:
+            seq = find_copy(c.color_class(color), 3, workers=1)
+            par = find_copy(c.color_class(color), 3, workers=2)
+            assert seq.status == par.status == "found"
+            assert par.embedding == seq.embedding
 
 
 class TestBudget:
-    def test_budget_yields_inconclusive_never_absent(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_yields_inconclusive_never_absent(self, workers):
         # The red class of the paired scheme on [10] has no copy, and full
         # exhaustion takes minutes, so tiny budgets must stop early.
         fam = make_c0(5).color_class(Color.RED)
         for budget in (1.0, 5.0, 25.0):
-            out = find_copy(fam, 5, budget_ms=budget)
+            out = find_copy(fam, 5, budget_ms=budget, workers=workers)
             assert out.status == "inconclusive"
             assert out.embedding is None
 
@@ -561,14 +596,16 @@ class TestBudget:
         assert out.nodes_explored > 1
         assert peak < 16 * 2**20
 
-    def test_large_full_cube_first_mode_stops_early(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_large_full_cube_first_mode_stops_early(self, workers):
         # 43 M root pairs over [16]; the copy sits at the first
-        # representative, so neither time nor memory may grow with them.
+        # representative, so neither time nor memory may grow with them,
+        # and a pool must not be handed every pair up front.
         fam = full_family(16)
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            out = find_copy(fam, 2)
+            out = find_copy(fam, 2, workers=workers)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -585,10 +622,9 @@ class TestBudget:
 
 class TestMonochromaticSearch:
     def test_paired_scheme_q6_has_red_copy(self):
-        hit = contains_monochromatic_copy(make_c0(3), 3)
-        assert hit is not None
-        color, e = hit
-        assert color is Color.RED
+        out = find_copy(make_c0(3).color_class(Color.RED), 3)
+        assert out.status == "found"
+        e = out.embedding
         assert [str(s) for s in e.images] == [
             "{}",
             "{2}",
@@ -603,4 +639,5 @@ class TestMonochromaticSearch:
         assert oracles.check_embedding_literal(e.image_values, 3)
 
     def test_layered_q3_is_copy_free_for_n2(self):
-        assert contains_monochromatic_copy(make_layered(3), 2) is None
+        for color in Color:
+            assert find_copy(make_layered(3).color_class(color), 2).status == "absent"
