@@ -84,7 +84,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, takewhile
 from math import comb, factorial
 
 import numpy as np
@@ -509,12 +509,12 @@ def _pooled(args: tuple, tasks, workers: int):
     queued = deque()
     try:
         while True:
-            running = [f for f in queued if not f.done()]
-            new = [pool.submit(_run_in_worker, t) for t in islice(tasks, workers - len(running))]
-            queued += new
+            running = sum(not f.done() for f in queued)
+            queued += [pool.submit(_run_in_worker, t) for t in islice(tasks, workers - running)]
             if not queued:
                 return
-            wait(running + new, return_when=FIRST_COMPLETED)
+            # The head is waited on even if it finished since it was looked at.
+            wait([queued[0], *(f for f in queued if not f.done())], return_when=FIRST_COMPLETED)
             while queued and queued[0].done():
                 yield queued.popleft().result()
     finally:
@@ -525,28 +525,28 @@ def _search(
     family: SetFamily, n: int, mode: str, prune: bool, deadline: float | None,
     swaps: list[tuple[int, int]], workers: int = 1, collect: set | None = None,
 ) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
-    """Walk the root pairs once, run each task in this process (one worker)
-    or on a pool, and fold the results in task order up to the first find
-    or deadline hit: (find, count, nodes, prune hits, deadline hit)."""
+    """Walk the root pairs once, run the tasks here (one worker) or on a
+    pool, and fold them in task order up to the first find: (find, count,
+    nodes, prune hits, deadline hit).  A deadline hit starts no more tasks."""
     args = (family, n, mode, prune, deadline)
     engine = _Engine(*args, collect)
-    tasks = engine._root_pairs(swaps)
-    results = map(engine.run, tasks) if workers <= 1 else _pooled(args, tasks, workers)
     found, count, nodes, hit, hits = None, 0, 0, False, dict.fromkeys(_PRUNE_NAMES, 0)
+    tasks = takewhile(lambda _: not hit, engine._root_pairs(swaps))
+    results = (engine.run(t) for t in tasks) if workers <= 1 else _pooled(args, tasks, workers)
     try:
-        for found, task_count, task_nodes, task_hits, hit in results:
+        for found, task_count, task_nodes, task_hits, task_hit in results:
             count += task_count
             nodes += task_nodes
             hits = {name: hits[name] + task_hits[name] for name in _PRUNE_NAMES}
-            if found is not None or hit:
+            hit = hit or task_hit
+            if found is not None:
                 break
         else:
-            # Exhausted, or the walk itself ran out of time.
+            # Exhausted, or stopped by a deadline hit in a task or the walk.
             hits = {name: hits[name] + engine.rest[name] for name in _PRUNE_NAMES}
-            hit = engine.walk_hit
+            hit = hit or engine.walk_hit
     finally:
-        if workers > 1:
-            results.close()
+        results.close()
     # Each canonical embedding stands for its orbit of n! labeled maps.
     return found, count * factorial(n) if prune else count, nodes, hits, hit
 
@@ -571,7 +571,8 @@ def find_copy(
     and each is one task; the tasks run here or on a pool of workers and
     are folded in task order, so outcomes, witnesses and counters do not
     depend on the worker count.  A found outcome counts the tasks up to and
-    including the find.
+    including the find.  A budget hit starts no more tasks, but a find by a
+    task still running wins over it.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")

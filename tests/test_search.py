@@ -619,6 +619,26 @@ class TestBudget:
         out = find_copy(full_family(3), 2, budget_ms=60000.0)
         assert out.status == "found"
 
+    def test_running_find_beats_earlier_deadline_hit(self, monkeypatch):
+        # The pool's first result is turned into a deadline hit.  The second
+        # task was submitted with it and finds a copy: that find still wins.
+        pooled = search._pooled
+        submitted = []
+
+        def first_task_hits(args, tasks, workers):
+            results = pooled(args, (submitted.append(t) or t for t in tasks), workers)
+            _, _, nodes, hits, _ = next(results)
+            yield None, 0, nodes, hits, True
+            yield from results
+
+        monkeypatch.setattr(search, "_pooled", first_task_hits)
+        fam = full_family(4)
+        out = find_copy(fam, 2, workers=2)
+        assert out.status == "found"
+        assert out.embedding.image_values[-1] == 0b0111
+        # The hit stopped the walk: only the two tasks in flight then ran.
+        assert [t[:2] for t in submitted] == [(0, 0b0011), (0, 0b0111)]
+
 
 class TestMonochromaticSearch:
     def test_paired_scheme_q6_has_red_copy(self):
