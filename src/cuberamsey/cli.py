@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success/absent, 1 failed check or
-usage/format error, 2 copy found, 3 inconclusive (budget hit), 4 instance
-not covered by the built-in construction.
+usage/format error (command-line errors included), 2 copy found, 3
+inconclusive (budget hit).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .coloring import (
     dual_coloring,
     load_coloring,
     make_c0,
+    make_c3,
     make_layered,
     render_coloring,
     save_coloring,
@@ -41,11 +42,19 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_FOUND = 2
 EXIT_INCONCLUSIVE = 3
-EXIT_NOT_COVERED = 4
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors exit EXIT_FAIL: argparse's own code 2 would read
+    as "copy found"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAIL, f"{self.prog}: error: {message}\n")
 
 
 def _default_threads() -> int:
@@ -130,13 +139,14 @@ def _outcome_pairs(prefix: str, outcome: SearchOutcome) -> list:
 def cmd_color(args) -> int:
     start = time.perf_counter()
     n = args.n
-    if args.scheme == "c0":
-        if args.m is not None and args.m != 2 * n:
-            raise UsageError(f"the paired scheme needs m = {2 * n}, got --m {args.m}")
-        coloring = make_c0(n)
+    if args.scheme == "layered":
+        coloring = make_layered(args.m if args.m is not None else 2 * n - 1)
     else:
-        m = args.m if args.m is not None else 2 * n - 1
-        coloring = make_layered(m)
+        if args.m is not None and args.m != 2 * n:
+            raise UsageError(f"scheme {args.scheme} needs m = {2 * n}, got --m {args.m}")
+        if args.scheme == "c3" and n != 3:
+            raise UsageError(f"scheme c3 is a coloring for n = 3, got --n {n}")
+        coloring = make_c0(n) if args.scheme == "c0" else make_c3()
     if not args.out:
         if not args.quiet:
             sys.stdout.write(render_coloring(coloring))
@@ -223,8 +233,9 @@ def cmd_find_copy(args) -> int:
 
 
 def cmd_verify_lower_bound(args) -> int:
-    """n = 3 searches an external coloring of [6]; n >= 4 builds c0 and
-    also checks that it is restrictive.  Verdicts, first match wins:
+    """Search both classes of the built-in coloring of [2n]: c3 at n = 3
+    (route search-only), c0 from n = 4 on (route construction, which also
+    checks that c0 is restrictive).  Verdicts, first match wins:
     copy-found, inconclusive, not-restrictive, verified."""
     start = time.perf_counter()
     n = args.n
@@ -232,28 +243,16 @@ def cmd_verify_lower_bound(args) -> int:
         raise UsageError("the lower bound statement starts at n = 3")
     workers = _workers(args.threads)
     _check_budget(args.budget_ms)
-    pairs = [("command", "verify-lower-bound"), ("n", str(n))]
-    if n == 3:
-        if not args.coloring:
-            pairs.append(("route", "external-coloring-required"))
-            pairs.append(("verdict", "not-covered"))
-            return _finish(args, pairs, start, EXIT_NOT_COVERED, args.out)
-        coloring = load_coloring(args.coloring)
-        if coloring.space.m != 6:
-            raise UsageError(
-                f"n=3 needs a coloring of [6], file has m={coloring.space.m}"
-            )
-        route = "external-coloring"
-    else:
-        if args.coloring:
-            raise UsageError("the external coloring route applies to n = 3 only")
-        coloring = make_c0(n)
-        route = "construction"
-    pairs.append(("m", str(2 * n)))
-    pairs.append(("scheme", coloring.scheme))
-    pairs.append(("route", route))
+    coloring = make_c3() if n == 3 else make_c0(n)
+    pairs = [
+        ("command", "verify-lower-bound"),
+        ("n", str(n)),
+        ("m", str(2 * n)),
+        ("scheme", coloring.scheme),
+        ("route", "search-only" if n == 3 else "construction"),
+    ]
     restrictive = True
-    if route == "construction":
+    if n > 3:
         block, restrictive = _restrictive_block(coloring, n)
         pairs.extend(block)
     search_pairs, code = _run_color_searches(
@@ -352,7 +351,7 @@ def cmd_recheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuberamsey",
         description="Colorings of subset cubes, structural property checks, "
         "and exhaustive searches for monochromatic subcube copies.",
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("color", cmd_color, "generate a coloring file")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--scheme", choices=("c0", "layered"), required=True)
+    sub.add_argument("--scheme", choices=("c0", "c3", "layered"), required=True)
     sub.add_argument("--m", type=int, help="ground size override (layered only)")
 
     sub = add("check", cmd_check, "check the four structural properties")
@@ -386,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("verify-lower-bound", cmd_verify_lower_bound,
               "certify one lower-bound instance")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--coloring", help="external coloring file (n = 3 route)")
     sub.add_argument("--budget-ms", type=float)
     sub.add_argument("--threads", type=int, default=_default_threads())
 

@@ -1,6 +1,6 @@
 """Total Red/Blue colorings of the subset lattice 2^[m].
 
-Two built-in schemes:
+Three built-in schemes:
 
 * ``layered``: color by cardinality parity (odd sizes red).
 * ``c0``: the explicit pairing-based scheme on [2n].  Five size bands:
@@ -8,6 +8,9 @@ Two built-in schemes:
   contains a complete pair, the middle layer n is red exactly when the
   element sum is odd, the band above n is red exactly when the set misses
   no pair, and everything above n + n//2 is blue.
+* ``c3``: a fixed coloring of [6] for n = 3, where c0 fails.  That
+  neither class holds a copy of 2^[3] rests on exhaustive search of both,
+  not on how the constant was found.
 
 Colorings are dense: one entry per encoded subset value.  The QRC1 text
 format stores them bit-exactly.
@@ -176,6 +179,16 @@ def make_c0(n: int) -> Coloring:
     red[band_miss] = missed_count_table(m)[band_miss] == 0
     red[high] = False
     return Coloring(space, red, scheme=f"c0 n={n}")
+
+
+# Bit i is 1 when the set encoded by i is red in c3.
+_C3_RED_BITS = 0x815735E8706A2C09
+
+
+def make_c3() -> Coloring:
+    """The c3 coloring of [6]: neither class holds a copy of 2^[3]."""
+    red = np.array([_C3_RED_BITS >> i & 1 for i in range(64)], dtype=bool)
+    return Coloring(CubeSpace(6), red, scheme="c3")
 
 
 def dual_coloring(c: Coloring) -> Coloring:

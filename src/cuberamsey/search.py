@@ -14,8 +14,8 @@ lexicographic order of their image vectors (read in assignment order),
 and the first find is the lexicographically smallest embedding.
 
 With prune=True four provable reductions apply; prune=False walks the
-plain tree, and outcomes, first-mode witnesses, counts and distinct image
-families are the same either way.
+plain tree, and outcomes, first-mode witnesses and counts are the same
+either way.
 
   * root gap and cardinality window: |f(empty)| + |A| <= |f(A)| <=
     |f(full)| - (n - |A|), since a chain of length n runs through A.
@@ -36,16 +36,15 @@ families are the same either way.
     Images are distinct, so f o s = f only for s = id: the n! permutations
     act freely, every orbit has n! members, and exactly one of them (sort
     the distinct singleton images) has increasing singleton images.  Hence
-    count mode multiplies the canonical count by n!, and the set of
-    distinct image families is unchanged.  First-mode witnesses are
-    unchanged too: let f be the lexicographically smallest embedding and
-    s the permutation that sorts its singleton images.  f o s agrees with f
-    on bottom and top, and its singleton images (positions 2..n+1) are the
-    sorted sequence, which is lexicographically no larger; were f's
-    unsorted, f o s would be strictly smaller.  So the smallest embedding
-    is canonical and the reduced search meets it first.  Candidates are
-    ascending, so the test x > f({k-1}) is a bisection into the candidate
-    list rather than a per-candidate comparison.
+    count mode multiplies the canonical count by n!.  First-mode
+    witnesses are unchanged too: let f be the lexicographically smallest
+    embedding and s the permutation that sorts its singleton images.
+    f o s agrees with f on bottom and top, and its singleton images
+    (positions 2..n+1) are the sorted sequence, which is lexicographically
+    no larger; were f's unsorted, f o s would be strictly smaller.  So the
+    smallest embedding is canonical and the reduced search meets it first.
+    Candidates are ascending, so the test x > f({k-1}) is a bisection into
+    the candidate list rather than a per-candidate comparison.
   * target symmetry: only root pairs (b, t) that are the lexicographic
     minimum of their orbit under a group G of automorphisms of the family
     are searched.  G is generated by the candidate permutations of [m]
@@ -56,15 +55,14 @@ families are the same either way.
     f -> tau o f is a bijection from the embeddings rooted at (b, t) onto
     those rooted at (tau b, tau t); it commutes with source symmetry
     (f -> f o s), which fixes the root.  So every embedding is moved onto
-    one rooted at a representative (absence); the pairs of an orbit root
-    equally many (count mode weights each representative by its orbit
-    size, then by n!); and the image families found at the
-    representatives, closed under G, are all of them (distinct count).
-    Were tau(b, t) < (b, t), tau o f would be smaller than f; so the
-    smallest embedding has an orbit-minimal root, and first-mode
-    witnesses are unchanged.  Root pairs are walked in ascending order, so
-    the first pair met of an orbit is its minimum; its orbit is closed
-    breadth-first under the generators and the rest of it is skipped.
+    one rooted at a representative (absence), and the pairs of an orbit
+    root equally many (count mode weights each representative by its orbit
+    size, then by n!).  Were tau(b, t) < (b, t), tau o f would be smaller
+    than f; so the smallest embedding has an orbit-minimal root, and
+    first-mode witnesses are unchanged.  Root pairs are walked in
+    ascending order, so the first pair met of an orbit is its minimum; its
+    orbit is closed breadth-first under the generators and the rest of it
+    is skipped.
 
 Reported node counts follow a fixed convention: one node per searched
 (bottom, top) root pair and one per accepted inner assignment.  Root pairs
@@ -297,7 +295,6 @@ class _Engine:
         mode: str,
         prune: bool,
         deadline: float | None,
-        collect: set | None = None,
     ) -> None:
         m = family.space.m
         self.all_elements = (1 << m) - 1
@@ -313,7 +310,6 @@ class _Engine:
         self.mode = mode
         self.prune = prune
         self.deadline = deadline
-        self.collect = collect
         self.low_lists: dict[tuple[int, int, int], list[int]] = {}
         self.cached_entries = 0
         self.images = [0] * self.positions
@@ -402,8 +398,6 @@ class _Engine:
                 self.found = tuple(self.images)
                 return True
             self.count += 1
-            if self.collect is not None:
-                self.collect.add(tuple(sorted(self.images)))
             return False
         images = self.images
         u = 0
@@ -523,13 +517,13 @@ def _pooled(args: tuple, tasks, workers: int):
 
 def _search(
     family: SetFamily, n: int, mode: str, prune: bool, deadline: float | None,
-    swaps: list[tuple[int, int]], workers: int = 1, collect: set | None = None,
+    swaps: list[tuple[int, int]], workers: int,
 ) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
     """Walk the root pairs once, run the tasks here (one worker) or on a
     pool, and fold them in task order up to the first find: (find, count,
     nodes, prune hits, deadline hit).  A deadline hit starts no more tasks."""
     args = (family, n, mode, prune, deadline)
-    engine = _Engine(*args, collect)
+    engine = _Engine(*args)
     found, count, nodes, hit, hits = None, 0, 0, False, dict.fromkeys(_PRUNE_NAMES, 0)
     tasks = takewhile(lambda _: not hit, engine._root_pairs(swaps))
     results = (engine.run(t) for t in tasks) if workers <= 1 else _pooled(args, tasks, workers)
@@ -606,24 +600,16 @@ def find_copy(
 def count_distinct_copies(family: SetFamily, n: int, prune: bool = True) -> tuple[int, int]:
     """Count embeddings as labeled maps and as distinct image families.
 
-    The distinct count deduplicates by image set; kept sequential and
-    capped small since the collection can grow with the labeled count.
-    With prune=True the image families found at the representative root
-    pairs are closed under the verified automorphisms of the family.
+    Every image family is the image of exactly n! embeddings, so the
+    distinct count is the labeled count divided by n!.  Proof.  Let f and g
+    be embeddings with the same image family.  Both are bijections onto it
+    that preserve inclusion both ways, so h = g^-1 o f is an automorphism
+    of the order 2^[n].  h permutes the singletons (the sets just above the
+    bottom), say by the permutation s of [n], and preserves unions (least
+    upper bounds); every set is the union of its singletons, so h(A) = s(A)
+    and f = g o s.  Conversely f o s is an embedding with f's image family
+    for each of the n! permutations s, and these maps differ, as f is
+    injective.
     """
-    if n > 6:
-        raise ValueError(f"distinct-copy collection capped at n <= 6, got {n}")
-    if n > family.space.m:
-        return 0, 0
-    swaps = _family_swaps(family) if prune else []
-    images: set[tuple[int, ...]] = set()
-    count = _search(family, n, "count", prune, None, swaps, collect=images)[1]
-    frontier = list(images)
-    while frontier:
-        image_family = frontier.pop()
-        for g in swaps:
-            image = tuple(sorted(_swap(x, *g) for x in image_family))
-            if image not in images:
-                images.add(image)
-                frontier.append(image)
-    return count, len(images)
+    count = find_copy(family, n, "count", prune).count
+    return count, count // factorial(n)

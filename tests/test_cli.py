@@ -10,6 +10,7 @@ from cuberamsey import (
     SearchOutcome,
     load_coloring,
     make_c0,
+    make_c3,
     make_layered,
     parse_coloring,
     save_coloring,
@@ -19,7 +20,6 @@ from cuberamsey.cli import (
     EXIT_FAIL,
     EXIT_FOUND,
     EXIT_INCONCLUSIVE,
-    EXIT_NOT_COVERED,
     EXIT_OK,
     main,
 )
@@ -115,6 +115,23 @@ class TestColorCommand:
         code, _, err = run(capsys, "color", "--n", 3, "--scheme", "c0", "--m", 5)
         assert code == EXIT_FAIL
         assert "error:" in err
+
+    def test_c3_round_trip_is_copy_free(self, capsys, tmp_path):
+        path = tmp_path / "c3.qrc1"
+        code, out, _ = run(capsys, "color", "--n", 3, "--scheme", "c3", "--out", path)
+        assert code == EXIT_OK
+        assert parse_report(out)[0]["scheme"] == "c3"
+        assert load_coloring(path) == make_c3()
+        code, out, _ = run(capsys, "find-copy", "--n", 3, "--coloring", path, "--threads", 1)
+        assert code == EXIT_OK
+        fields, _ = parse_report(out)
+        assert fields["red"] == fields["blue"] == "absent"
+
+    @pytest.mark.parametrize("args", [("--n", 4), ("--n", 3, "--m", 7)])
+    def test_c3_is_for_n3_only(self, capsys, args):
+        code, out, err = run(capsys, "color", "--scheme", "c3", *args)
+        assert code == EXIT_FAIL
+        assert out == "" and "error:" in err
 
     def test_quiet_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "c.qrc1"
@@ -318,40 +335,15 @@ class TestVerifyLowerBoundCommand:
         assert code == EXIT_FAIL
         assert "n = 3" in err
 
-    def test_n3_without_coloring_is_not_covered(self, capsys):
-        code, out, _ = run(capsys, "verify-lower-bound", "--n", 3)
-        assert code == EXIT_NOT_COVERED
-        fields, _ = parse_report(out)
-        assert fields["route"] == "external-coloring-required"
-        assert fields["verdict"] == "not-covered"
-
-    def test_n3_with_bad_instance_reports_the_copy(self, capsys, c0n3):
-        # The paired scheme itself is not a valid witness at n = 3.
-        code, out, _ = run(
-            capsys,
-            "verify-lower-bound", "--n", 3, "--coloring", c0n3, "--threads", 1,
-        )
-        assert code == EXIT_FOUND
-        fields, blocks = parse_report(out)
-        assert fields["route"] == "external-coloring"
-        assert fields["verdict"] == "copy-found"
-        assert "red_embedding" in blocks
-
-    def test_n3_rejects_wrong_ground_set(self, capsys, tmp_path):
-        path = tmp_path / "m4.qrc1"
-        save_coloring(make_layered(4), path)
-        code, _, err = run(
-            capsys, "verify-lower-bound", "--n", 3, "--coloring", path
-        )
-        assert code == EXIT_FAIL
-        assert "m=4" in err
-
-    def test_construction_route_rejects_external_coloring(self, capsys, c0n4):
-        code, _, err = run(
-            capsys, "verify-lower-bound", "--n", 4, "--coloring", c0n4
-        )
-        assert code == EXIT_FAIL
-        assert "n = 3" in err
+    def test_construction_route_rejects_external_coloring(self, capsys, c0n3, c0n4):
+        # No route takes a coloring file, n = 3 included.
+        for n, path in ((3, c0n3), (4, c0n4)):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-lower-bound", "--n", str(n), "--coloring", str(path)])
+            assert exc.value.code == EXIT_FAIL
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --coloring" in captured.err
 
     def test_budgeted_run_is_inconclusive(self, capsys):
         code, out, _ = run(
@@ -414,34 +406,33 @@ class TestVerifyLowerBoundCommand:
         assert fields["verdict"] == "not-restrictive"
         assert "bound" not in fields
 
-    def test_n3_external_coloring_verified(self, capsys, monkeypatch, c0n3):
-        # No copy-free coloring of [6] ships, so the searches are replaced.
-        calls = fake_find_copy(monkeypatch)
-        code, out, _ = run(
-            capsys, "verify-lower-bound", "--n", 3, "--coloring", c0n3, "--threads", 1
-        )
-        assert code == EXIT_OK
-        assert calls == [1, 1]
-        counters = [
-            f"{color}_prune_{name}: 0"
-            for color in ("red", "blue")
-            for name in ("root-gap", "cardinality-window", "source-symmetry", "target-symmetry")
-        ]
-        assert stable_lines(out) == [
-            "command: verify-lower-bound",
-            "n: 3",
-            "m: 6",
-            "scheme: c0 n=3",
-            "route: external-coloring",
-            "red: absent",
-            "red_nodes: 0",
-            *counters[:4],
-            "blue: absent",
-            "blue_nodes: 0",
-            *counters[4:],
-            "verdict: verified",
-            "bound: R(Q3,Q3) >= 7",
-        ]
+    VERIFIED_N3 = [
+        "command: verify-lower-bound",
+        "n: 3",
+        "m: 6",
+        "scheme: c3",
+        "route: search-only",
+        "red: absent",
+        "red_nodes: 2234",
+        "red_prune_root-gap: 45",
+        "red_prune_cardinality-window: 4776",
+        "red_prune_source-symmetry: 12074",
+        "red_prune_target-symmetry: 0",
+        "blue: absent",
+        "blue_nodes: 666",
+        "blue_prune_root-gap: 125",
+        "blue_prune_cardinality-window: 3100",
+        "blue_prune_source-symmetry: 1753",
+        "blue_prune_target-symmetry: 0",
+        "verdict: verified",
+        "bound: R(Q3,Q3) >= 7",
+    ]
+
+    def test_n3_builtin_coloring_verified(self, capsys):
+        for threads in (1, 2):
+            code, out, _ = run(capsys, "verify-lower-bound", "--n", 3, "--threads", threads)
+            assert code == EXIT_OK
+            assert stable_lines(out) == self.VERIFIED_N3
 
     @pytest.mark.parametrize(
         "restrictive,statuses,code,verdict",
@@ -530,14 +521,37 @@ class TestParserBehavior:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_FAIL
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find-copy", "--n", "3", "--coloring", "x", "--bogus"],
+            ["verify-lower-bound", "--n", "x"],
+            ["find-copy", "--n", "3"],
+        ],
+        ids=["unknown-argument", "bad-int", "missing-required"],
+    )
+    def test_argument_errors_exit_1(self, capsys, argv):
+        # argparse alone would exit 2, the code for "copy found".
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    def test_subcommand_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-lower-bound", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--coloring" not in capsys.readouterr().out
 
     def test_threads_default_to_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         assert cli._default_threads() == 3
-        for command in ("find-copy", "verify-lower-bound"):
-            args = cli.build_parser().parse_args([command, "--n", "4", "--coloring", "x"])
+        for argv in (["find-copy", "--coloring", "x"], ["verify-lower-bound"]):
+            args = cli.build_parser().parse_args([*argv, "--n", "4"])
             assert args.threads == 3
         monkeypatch.delattr(cli.os, "sched_getaffinity")
         assert cli._default_threads() == 8
@@ -581,10 +595,7 @@ class TestParserBehavior:
         for threads, want in ((1000, 2), (3, 2), (2, 2), (1, 1)):
             calls.clear()
             run(capsys, "find-copy", "--n", 3, "--coloring", c0n3, "--threads", threads)
-            run(
-                capsys, "verify-lower-bound", "--n", 3, "--coloring", c0n3,
-                "--threads", threads,
-            )
+            run(capsys, "verify-lower-bound", "--n", 3, "--threads", threads)
             assert calls == [want] * 4
 
     def test_reports_end_with_volatile_fields(self, capsys, c0n3):

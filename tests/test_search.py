@@ -21,6 +21,7 @@ from cuberamsey import (
     count_distinct_copies,
     find_copy,
     make_c0,
+    make_c3,
     make_layered,
     verify_embedding,
 )
@@ -210,12 +211,24 @@ class TestCountsAgainstOracles:
                 assert distinct == len(copy_image_masks(n, m))
 
     def test_count_distinct_caps(self):
-        with pytest.raises(ValueError):
-            count_distinct_copies(full_family(4), 7)
         assert count_distinct_copies(full_family(2), 3) == (0, 0)
 
 
 class TestStructuralCases:
+    @pytest.mark.parametrize(
+        "color,prune,nodes",
+        [
+            (Color.RED, True, 2234),
+            (Color.RED, False, 11620),
+            (Color.BLUE, True, 666),
+            (Color.BLUE, False, 2830),
+        ],
+    )
+    def test_c3_classes_hold_no_q3(self, color, prune, nodes):
+        out = find_copy(make_c3().color_class(color), 3, prune=prune)
+        assert out.status == "absent"
+        assert out.nodes_explored == nodes
+
     def test_non_join_respecting_copy_is_found(self):
         # The only copies send {1,2} to {1,2,3}, a strict superset of the
         # union of the middle images; the search must not assume unions.
