@@ -229,46 +229,78 @@ def save_coloring(c: Coloring, path) -> None:
 
 
 def parse_coloring(text: str) -> Coloring:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing newline
-    if not lines or lines[0] != "QRC1":
+    """Read QRC1 text.  A malformed text raises the first error in file
+    order, at its 1-based line and column; columns count characters."""
+    lines = text.split("\n", 3)
+    if lines[0] != "QRC1":
         raise ColoringFormatError("expected QRC1 magic", 1, 1)
     if len(lines) < 2 or not lines[1].startswith("m="):
         raise ColoringFormatError("expected m=<integer>", 2, 1)
+    digits = lines[1][2:]
     try:
-        m = int(lines[1][2:])
+        m = int(digits)
+        if not digits.isdigit() or str(m) != digits:
+            raise ValueError  # only canonical decimal renders back to the same text
     except ValueError:
-        raise ColoringFormatError(f"bad ground-set size {lines[1][2:]!r}", 2, 3) from None
+        raise ColoringFormatError(f"bad ground-set size {digits!r}", 2, 3) from None
     if not 1 <= m <= MAX_GROUND_SIZE:
         raise ColoringFormatError(f"ground-set size {m} outside 1..{MAX_GROUND_SIZE}", 2, 3)
     if len(lines) < 3 or not lines[2].startswith("scheme="):
         raise ColoringFormatError("expected scheme=<label>", 3, 1)
     scheme = lines[2][7:]
 
+    payload = lines[3] if len(lines) > 3 else ""
     expected = 1 << m
-    red = np.empty(expected, dtype=bool)
-    seen = 0
-    for lineno, chunk in enumerate(lines[3:], start=4):
-        if seen >= expected:
-            raise ColoringFormatError("unexpected extra line after payload", lineno, 1)
-        want = min(_WRAP, expected - seen)
-        for col, ch in enumerate(chunk, start=1):
-            if ch not in "RB":
-                raise ColoringFormatError(f"illegal character {ch!r}", lineno, col)
-            if seen >= expected:
-                raise ColoringFormatError("payload longer than 2^m entries", lineno, col)
-            red[seen] = ch == "R"
-            seen += 1
-        if len(chunk) != want:
-            raise ColoringFormatError(
-                f"payload line has {len(chunk)} entries, expected {want}", lineno, len(chunk) + 1
-            )
-    if seen != expected:
-        raise ColoringFormatError(
-            f"payload has {seen} entries, expected {expected}", len(lines) + 1, 1
+    width = min(_WRAP, expected)
+    rows = expected // width
+    # One byte per character, so byte offsets are columns; a non-ASCII
+    # character becomes "?", which is as illegal as the character itself.
+    raw = payload.encode("ascii", "replace")
+    if len(raw) in (rows * (width + 1), rows * (width + 1) - 1):  # final newline optional
+        body = np.ndarray((rows, width), np.uint8, raw, strides=(width + 1, 1))
+        ends = np.frombuffer(raw, np.uint8)[width :: width + 1]
+        red = body == ord("R")
+        if (ends == ord("\n")).all() and (red | (body == ord("B"))).all():
+            return Coloring(CubeSpace(m), red.reshape(-1), scheme=scheme)
+    raise _payload_error(payload, raw, width, rows)
+
+
+def _payload_error(payload: str, raw: bytes, width: int, rows: int) -> ColoringFormatError:
+    """The first error in a payload that is not ``rows`` lines of ``width``
+    R/B characters.  Every line before the first bad one holds ``width``
+    entries, so the checks below meet that line as a character-by-character
+    reading would: an extra line at once, then its first illegal character,
+    an entry past 2^m, or its length."""
+    buf = np.frombuffer(raw, np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    count = len(breaks) + (raw != b"" and not raw.endswith(b"\n"))  # payload lines
+    starts = np.append(0, breaks + 1)[:count]
+    lengths = np.append(breaks, len(buf))[:count] - starts
+    illegal = (buf != ord("R")) & (buf != ord("B")) & (buf != ord("\n"))
+    first_illegal = int(illegal.argmax()) if illegal.any() else len(buf)
+
+    bad = [rows] if count > rows else []
+    bad += np.flatnonzero(lengths[:rows] != width)[:1].tolist()
+    if first_illegal < len(buf):
+        bad.append(int(np.searchsorted(breaks, first_illegal)))
+    if not bad:
+        return ColoringFormatError(
+            f"payload has {count * width} entries, expected {rows * width}", 4 + count, 1
         )
-    return Coloring(CubeSpace(m), red, scheme=scheme)
+    j = min(bad)
+    lineno = 4 + j
+    if j == rows:
+        return ColoringFormatError("unexpected extra line after payload", lineno, 1)
+    start, length = int(starts[j]), int(lengths[j])
+    left = (rows - j) * width  # entries still expected when line j starts
+    col = first_illegal - start
+    if col < length and col <= left:
+        return ColoringFormatError(f"illegal character {payload[first_illegal]!r}", lineno, col + 1)
+    if length > left:
+        return ColoringFormatError("payload longer than 2^m entries", lineno, left + 1)
+    return ColoringFormatError(
+        f"payload line has {length} entries, expected {width}", lineno, length + 1
+    )
 
 
 def load_coloring(path) -> Coloring:

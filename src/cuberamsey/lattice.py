@@ -8,6 +8,7 @@ value of a set doubles as its index into dense per-subset tables. Pair i
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -208,9 +209,27 @@ def iterate_layer(space: CubeSpace, k: int) -> Iterator[ElementSet]:
 
 # Vectorized counterparts over dense per-subset tables (index = encoded value).
 
+# Peak bytes per subset of a command that holds dense tables over 2^[m]:
+# `color --n 12` (m = 24) peaks at 334 MB, about 21 B per subset.
+TABLE_BYTES_PER_SUBSET = 21
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 @lru_cache(maxsize=8)
 def index_table(m: int) -> np.ndarray:
-    """All encoded values 0..2^m-1 as a read-only uint32 array."""
+    """All encoded values 0..2^m-1 as a read-only uint32 array.  Raises
+    CapacityError, before allocating, when dense tables over 2^[m] would
+    not fit in physical memory."""
+    need, have = TABLE_BYTES_PER_SUBSET << m, physical_memory()
+    if need > have:
+        raise CapacityError(
+            f"dense tables over 2^[{m}] need about {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
     idx = np.arange(1 << m, dtype=np.uint32)
     idx.flags.writeable = False
     return idx

@@ -8,7 +8,10 @@ Values frozen in the test modules were produced by these routines.
 
 from itertools import combinations, permutations
 
-from cuberamsey import copy_image_masks
+import numpy as np
+
+from cuberamsey import Coloring, ColoringFormatError, CubeSpace, copy_image_masks
+from cuberamsey.lattice import MAX_GROUND_SIZE
 
 
 def subset_elements(bits: int) -> tuple[int, ...]:
@@ -271,3 +274,49 @@ def root_orbits_literal(members, n: int, perms) -> list[tuple[int, int, int]]:
         seen |= orbit
         out.append((pair[0], pair[1], len(orbit)))
     return out
+
+
+def parse_coloring_loop(text: str) -> Coloring:
+    """QRC1 parsing one character at a time: every line is split off, and
+    each payload character is checked and stored in file order, so the
+    first error met is the first in the file."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()  # trailing newline
+    if not lines or lines[0] != "QRC1":
+        raise ColoringFormatError("expected QRC1 magic", 1, 1)
+    if len(lines) < 2 or not lines[1].startswith("m="):
+        raise ColoringFormatError("expected m=<integer>", 2, 1)
+    try:
+        m = int(lines[1][2:])
+    except ValueError:
+        raise ColoringFormatError(f"bad ground-set size {lines[1][2:]!r}", 2, 3) from None
+    if not 1 <= m <= MAX_GROUND_SIZE:
+        raise ColoringFormatError(f"ground-set size {m} outside 1..{MAX_GROUND_SIZE}", 2, 3)
+    if len(lines) < 3 or not lines[2].startswith("scheme="):
+        raise ColoringFormatError("expected scheme=<label>", 3, 1)
+    scheme = lines[2][7:]
+
+    expected = 1 << m
+    red = np.empty(expected, dtype=bool)
+    seen = 0
+    for lineno, chunk in enumerate(lines[3:], start=4):
+        if seen >= expected:
+            raise ColoringFormatError("unexpected extra line after payload", lineno, 1)
+        want = min(64, expected - seen)
+        for col, ch in enumerate(chunk, start=1):
+            if ch not in "RB":
+                raise ColoringFormatError(f"illegal character {ch!r}", lineno, col)
+            if seen >= expected:
+                raise ColoringFormatError("payload longer than 2^m entries", lineno, col)
+            red[seen] = ch == "R"
+            seen += 1
+        if len(chunk) != want:
+            raise ColoringFormatError(
+                f"payload line has {len(chunk)} entries, expected {want}", lineno, len(chunk) + 1
+            )
+    if seen != expected:
+        raise ColoringFormatError(
+            f"payload has {seen} entries, expected {expected}", len(lines) + 1, 1
+        )
+    return Coloring(CubeSpace(m), red, scheme=scheme)

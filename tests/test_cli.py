@@ -15,7 +15,7 @@ from cuberamsey import (
     parse_coloring,
     save_coloring,
 )
-from cuberamsey import cli
+from cuberamsey import cli, lattice
 from cuberamsey.cli import (
     EXIT_FAIL,
     EXIT_FOUND,
@@ -89,6 +89,14 @@ class TestColorCommand:
         code, out, _ = run(capsys, "color", "--n", 2, "--scheme", "c0")
         assert code == EXIT_OK
         assert parse_coloring(out) == make_c0(2)
+
+    @pytest.mark.parametrize("args", [("color", "--scheme", "c0"), ("verify-lower-bound",)])
+    def test_tables_beyond_memory_exit_1(self, capsys, monkeypatch, args):
+        monkeypatch.setattr(lattice, "physical_memory", lambda: 1 << 30)
+        code, out, err = run(capsys, *args, "--n", 16)
+        assert code == 1
+        assert out == ""
+        assert "dense tables over 2^[32] need about" in err
 
     def test_file_mode_writes_and_reports(self, capsys, tmp_path):
         path = tmp_path / "c.qrc1"

@@ -1,6 +1,8 @@
 """Colorings, set families, the two built-in schemes, and the QRC1 format."""
 
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +229,13 @@ class TestQRC1Errors:
         ("QRC1\nm=1\nscheme=x\nBR\n\n", 5, 1),  # blank line after payload
         ("QRC1\nm=1\nscheme=x\nBR\nBR\n", 5, 1),  # extra payload line
         ("QRC1\nm=1\nscheme=x\n", 4, 1),  # payload missing entirely
+        # Only canonical decimal sizes: each of these once read as m = 1.
+        ("QRC1\nm=1\r\nscheme=x\nBR\n", 2, 3),
+        ("QRC1\nm= 1\nscheme=x\nBR\n", 2, 3),
+        ("QRC1\nm=+1\nscheme=x\nBR\n", 2, 3),
+        ("QRC1\nm=0_1\nscheme=x\nBR\n", 2, 3),
+        ("QRC1\nm=01\nscheme=x\nBR\n", 2, 3),
+        ("QRC1\nm=\u0661\nscheme=x\nBR\n", 2, 3),  # ARABIC-INDIC DIGIT ONE
     ]
 
     @pytest.mark.parametrize("text,line,column", CASES)
@@ -239,6 +248,115 @@ class TestQRC1Errors:
 
     def test_error_is_value_error(self):
         assert issubclass(ColoringFormatError, ValueError)
+
+
+def parse_outcome(parse, text):
+    """The parsed coloring, or (message, line, column) of the error."""
+    try:
+        return parse(text)
+    except ColoringFormatError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def loop_outcome(text):
+    """The per-character oracle's outcome, with one deliberate difference:
+    a size that is not canonical decimal (an int() reading accepted signs,
+    spaces, underscores, leading zeros and non-ASCII digits) is an error."""
+    lines = text.split("\n", 3)
+    out = parse_outcome(oracles.parse_coloring_loop, text)
+    if lines[0] == "QRC1" and len(lines) > 1 and lines[1].startswith("m="):
+        digits = lines[1][2:]
+        if not re.fullmatch(r"0|[1-9][0-9]*", digits):
+            return (f"line 2, column 3: bad ground-set size {digits!r}", 2, 3)
+    return out
+
+
+CORRUPTING_CHARS = ["R", "B", "\n", "\r", "X", "\u00e9"]
+
+
+def corrupt(text, rng):
+    """One seeded corruption: substitute, insert or delete one character,
+    truncate, or append a line."""
+    kind = rng.randrange(5)
+    at = rng.randrange(len(text))
+    if kind == 0:
+        return text[:at] + rng.choice(CORRUPTING_CHARS) + text[at + 1 :]
+    if kind == 1:
+        return text[:at] + rng.choice(CORRUPTING_CHARS) + text[at:]
+    if kind == 2:
+        return text[:at] + text[at + 1 :]
+    if kind == 3:
+        return text[:at]
+    return text + rng.choice(["BR\n", "\n", "R" * 64 + "\n", "X\n", "RB"])
+
+
+class TestParseMatchesLoop:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_valid_renders(self, m):
+        c = random_coloring(m, random.Random(700 + m), scheme=f"m{m}")
+        text = render_coloring(c)
+        assert parse_coloring(text) == oracles.parse_coloring_loop(text) == c
+        assert parse_coloring(text[:-1]) == c
+
+    def test_corruption_corpus(self):
+        rng = random.Random(2024)
+        kinds = set()
+        for case in range(1500):
+            m = rng.randint(1, 10)
+            text = corrupt(render_coloring(random_coloring(m, rng, scheme="s")), rng)
+            expected = loop_outcome(text)
+            assert parse_outcome(parse_coloring, text) == expected, (case, text)
+            if isinstance(expected, tuple):
+                kinds.add(re.sub(r"[0-9'].*", "", expected[0].split(": ", 1)[1]))
+        # Every payload rule is met somewhere in the corpus.
+        assert {
+            "illegal character ",
+            "payload longer than ",
+            "payload line has ",
+            "unexpected extra line after payload",
+            "payload has ",
+        } <= kinds
+
+    def test_illegal_character_deep_in_file(self):
+        # The size `color --n 12` writes: 2^24 entries on 262,144 lines.
+        red = np.random.default_rng(12).random(1 << 24) < 0.5
+        text = render_coloring(Coloring(CubeSpace(24), red, scheme="s"))
+        at = len("QRC1\nm=24\nscheme=s\n") + 96 * 65 + 16  # line 100, column 17
+        text = text[:at] + "X" + text[at + 1 :]
+        assert parse_outcome(parse_coloring, text) == (
+            "line 100, column 17: illegal character 'X'", 100, 17
+        )
+        assert loop_outcome(text) == parse_outcome(parse_coloring, text)
+
+    @pytest.mark.parametrize(
+        "extra,expected",
+        [
+            ("\u00e9", ("line 5, column 65: illegal character '\u00e9'", 5, 65)),
+            ("R", ("line 5, column 66: payload line has 65 entries, expected 64", 5, 66)),
+        ],
+    )
+    def test_65th_character(self, extra, expected):
+        lines = render_coloring(make_c0(6)).split("\n")
+        lines[4] += extra
+        text = "\n".join(lines)
+        assert parse_outcome(parse_coloring, text) == expected
+        assert loop_outcome(text) == expected
+
+    def test_full_payload_without_final_newline(self):
+        c = make_c0(10)
+        text = render_coloring(c)[:-1]
+        assert parse_coloring(text) == oracles.parse_coloring_loop(text) == c
+
+    def test_huge_header_with_short_payload_allocates_nothing(self):
+        text = "QRC1\nm=32\nscheme=x\nBR\n"
+        tracemalloc.start()
+        try:
+            outcome = parse_outcome(parse_coloring, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == ("line 4, column 3: payload line has 2 entries, expected 64", 4, 3)
+        assert peak < 16 << 20
 
 
 @given(st.integers(1, 6), st.data())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,9 @@ from cuberamsey import (
     parse_set,
     partner,
 )
+from cuberamsey import lattice
 from cuberamsey.lattice import (
+    TABLE_BYTES_PER_SUBSET,
     hit_probe,
     index_table,
     layer_masks,
@@ -257,6 +260,41 @@ class TestTables:
 
     def test_tables_are_cached(self):
         assert popcount_table(6) is popcount_table(6)
+
+
+class TestMemoryGuard:
+    def raises_without_allocating(self, m):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as exc:
+                index_table.__wrapped__(m)  # past the cache: the guard must run
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        return str(exc.value)
+
+    def test_full_ground_set_is_refused(self):
+        need = TABLE_BYTES_PER_SUBSET << 32
+        if lattice.physical_memory() >= need:
+            pytest.skip("this machine holds dense tables over 2^[32]")
+        message = self.raises_without_allocating(32)
+        assert f"need about {need} bytes" in message
+        assert f"the {lattice.physical_memory()} bytes of physical memory" in message
+
+    def test_estimate_is_compared_with_physical_memory(self, monkeypatch):
+        need = TABLE_BYTES_PER_SUBSET << 10
+        monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
+        message = self.raises_without_allocating(10)
+        assert message == (
+            f"dense tables over 2^[10] need about {need} bytes, "
+            f"more than the {need - 1} bytes of physical memory"
+        )
+        monkeypatch.setattr(lattice, "physical_memory", lambda: need)
+        assert len(index_table.__wrapped__(10)) == 1 << 10
+
+    def test_physical_memory_is_read_from_the_os(self):
+        assert lattice.physical_memory() > TABLE_BYTES_PER_SUBSET << 24
 
 
 def test_capacity_error_is_runtime_error():

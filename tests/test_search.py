@@ -637,10 +637,12 @@ class TestBudget:
         # task was submitted with it and finds a copy: that find still wins.
         pooled = search._pooled
         submitted = []
+        submitted_before_hit = []
 
         def first_task_hits(args, tasks, workers):
             results = pooled(args, (submitted.append(t) or t for t in tasks), workers)
             _, _, nodes, hits, _ = next(results)
+            submitted_before_hit.extend(submitted)
             yield None, 0, nodes, hits, True
             yield from results
 
@@ -649,8 +651,10 @@ class TestBudget:
         out = find_copy(fam, 2, workers=2)
         assert out.status == "found"
         assert out.embedding.image_values[-1] == 0b0111
-        # The hit stopped the walk: only the two tasks in flight then ran.
-        assert [t[:2] for t in submitted] == [(0, 0b0011), (0, 0b0111)]
+        assert [t[:2] for t in submitted[:2]] == [(0, 0b0011), (0, 0b0111)]
+        # The hit stopped the walk: no task was taken from it after the hit.
+        # (A third task is taken before it when the second ends first.)
+        assert submitted == submitted_before_hit
 
 
 class TestMonochromaticSearch:
