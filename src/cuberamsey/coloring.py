@@ -253,8 +253,8 @@ def parse_coloring(text: str) -> Coloring:
     expected = 1 << m
     width = min(_WRAP, expected)
     rows = expected // width
-    # One byte per character, so byte offsets are columns; a non-ASCII
-    # character becomes "?", which is as illegal as the character itself.
+    # One byte per character: a non-ASCII character becomes "?", which
+    # fails the R/B test as the character itself would.
     raw = payload.encode("ascii", "replace")
     if len(raw) in (rows * (width + 1), rows * (width + 1) - 1):  # final newline optional
         body = np.ndarray((rows, width), np.uint8, raw, strides=(width + 1, 1))
@@ -262,44 +262,33 @@ def parse_coloring(text: str) -> Coloring:
         red = body == ord("R")
         if (ends == ord("\n")).all() and (red | (body == ord("B"))).all():
             return Coloring(CubeSpace(m), red.reshape(-1), scheme=scheme)
-    raise _payload_error(payload, raw, width, rows)
+    raise _payload_error(payload, width, rows)
 
 
-def _payload_error(payload: str, raw: bytes, width: int, rows: int) -> ColoringFormatError:
+def _payload_error(payload: str, width: int, rows: int) -> ColoringFormatError:
     """The first error in a payload that is not ``rows`` lines of ``width``
-    R/B characters.  Every line before the first bad one holds ``width``
-    entries, so the checks below meet that line as a character-by-character
-    reading would: an extra line at once, then its first illegal character,
-    an entry past 2^m, or its length."""
-    buf = np.frombuffer(raw, np.uint8)
-    breaks = np.flatnonzero(buf == ord("\n"))
-    count = len(breaks) + (raw != b"" and not raw.endswith(b"\n"))  # payload lines
-    starts = np.append(0, breaks + 1)[:count]
-    lengths = np.append(breaks, len(buf))[:count] - starts
-    illegal = (buf != ord("R")) & (buf != ord("B")) & (buf != ord("\n"))
-    first_illegal = int(illegal.argmax()) if illegal.any() else len(buf)
-
-    bad = [rows] if count > rows else []
-    bad += np.flatnonzero(lengths[:rows] != width)[:1].tolist()
-    if first_illegal < len(buf):
-        bad.append(int(np.searchsorted(breaks, first_illegal)))
-    if not bad:
+    R/B characters.  Lines before the first bad one hold ``width`` entries
+    each, so that line is read by the per-character rules alone."""
+    lines = payload.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # trailing newline
+    for j, line in enumerate(lines):
+        lineno = 4 + j
+        if j >= rows:
+            return ColoringFormatError("unexpected extra line after payload", lineno, 1)
+        if len(line) == width and not line.strip("RB"):
+            continue
+        left = (rows - j) * width  # entries still expected when this line starts
+        for col, ch in enumerate(line, start=1):
+            if ch not in "RB":
+                return ColoringFormatError(f"illegal character {ch!r}", lineno, col)
+            if col > left:
+                return ColoringFormatError("payload longer than 2^m entries", lineno, col)
         return ColoringFormatError(
-            f"payload has {count * width} entries, expected {rows * width}", 4 + count, 1
+            f"payload line has {len(line)} entries, expected {width}", lineno, len(line) + 1
         )
-    j = min(bad)
-    lineno = 4 + j
-    if j == rows:
-        return ColoringFormatError("unexpected extra line after payload", lineno, 1)
-    start, length = int(starts[j]), int(lengths[j])
-    left = (rows - j) * width  # entries still expected when line j starts
-    col = first_illegal - start
-    if col < length and col <= left:
-        return ColoringFormatError(f"illegal character {payload[first_illegal]!r}", lineno, col + 1)
-    if length > left:
-        return ColoringFormatError("payload longer than 2^m entries", lineno, left + 1)
     return ColoringFormatError(
-        f"payload line has {length} entries, expected {width}", lineno, length + 1
+        f"payload has {len(lines) * width} entries, expected {rows * width}", 4 + len(lines), 1
     )
 
 

@@ -214,18 +214,22 @@ def iterate_layer(space: CubeSpace, k: int) -> Iterator[ElementSet]:
 TABLE_BYTES_PER_SUBSET = 21
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def physical_memory() -> int | None:
+    """Bytes of physical memory of the machine; None where the platform
+    does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError):
+        return None
 
 
 @lru_cache(maxsize=8)
 def index_table(m: int) -> np.ndarray:
     """All encoded values 0..2^m-1 as a read-only uint32 array.  Raises
     CapacityError, before allocating, when dense tables over 2^[m] would
-    not fit in physical memory."""
+    not fit in physical memory (where the platform reports it)."""
     need, have = TABLE_BYTES_PER_SUBSET << m, physical_memory()
-    if need > have:
+    if have is not None and need > have:
         raise CapacityError(
             f"dense tables over 2^[{m}] need about {need} bytes, "
             f"more than the {have} bytes of physical memory"

@@ -1,6 +1,7 @@
 """Ground-set arithmetic: encodings, pairing structure, layers, tables."""
 
 import math
+import os
 import random
 import tracemalloc
 
@@ -295,6 +296,18 @@ class TestMemoryGuard:
 
     def test_physical_memory_is_read_from_the_os(self):
         assert lattice.physical_memory() > TABLE_BYTES_PER_SUBSET << 24
+
+    @pytest.mark.parametrize("platform", ["no sysconf", "unknown sysconf name"])
+    def test_guard_is_skipped_where_memory_is_not_reported(self, monkeypatch, platform):
+        if platform == "no sysconf":
+            monkeypatch.delattr(os, "sysconf")
+        else:
+            def sysconf(name):
+                raise ValueError("unrecognized configuration name")
+
+            monkeypatch.setattr(os, "sysconf", sysconf)
+        assert lattice.physical_memory() is None
+        assert index_table.__wrapped__(4).tolist() == list(range(16))
 
 
 def test_capacity_error_is_runtime_error():
