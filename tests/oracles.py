@@ -6,11 +6,19 @@ sets are frozensets of 1-based elements, quantifiers are plain loops.
 Values frozen in the test modules were produced by these routines.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
 
-from cuberamsey import Coloring, ColoringFormatError, CubeSpace, copy_image_masks
+from cuberamsey import (
+    Coloring,
+    ColoringFormatError,
+    CubeSpace,
+    FlipGraphReport,
+    copy_image_masks,
+    transversal_masks,
+)
 from cuberamsey.lattice import MAX_GROUND_SIZE
 
 
@@ -320,3 +328,65 @@ def parse_coloring_loop(text: str) -> Coloring:
             f"payload has {seen} entries, expected {expected}", len(lines) + 1, 1
         )
     return Coloring(CubeSpace(m), red, scheme=scheme)
+
+
+def flip_graph_loop(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Vertices (transversal masks, ascending) and edges (u, v), u < v,
+    sorted, of the flip graph, one partner swap at a time."""
+    vertices = tuple(transversal_masks(n))
+    edges = []
+    for t in vertices:
+        for i in range(n):
+            u = t ^ (3 << (2 * i))
+            if u > t:
+                edges.append((t, u))
+    return vertices, tuple(sorted(edges))
+
+
+def degree_histogram_loop(vertices, edges) -> dict[int, int]:
+    deg = dict.fromkeys(vertices, 0)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    hist: dict[int, int] = {}
+    for d in deg.values():
+        hist[d] = hist.get(d, 0) + 1
+    return hist
+
+
+def bipartition_loop(vertices, edges) -> FlipGraphReport:
+    """Breadth-first 2-coloring with a per-vertex queue from the lowest
+    unvisited vertex of each component, then comparison of the sides with
+    the element-sum parity classes."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    side: dict[int, int] = {}
+    bipartite = True
+    components = 0
+    for start in vertices:
+        if start in side:
+            continue
+        components += 1
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in side:
+                    side[w] = side[v] ^ 1
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    bipartite = False
+    odd = frozenset(v for v in vertices if sum_parity(v) == "odd")
+    even = frozenset(vertices) - odd
+    side0 = frozenset(v for v in vertices if side[v] == 0)
+    side1 = frozenset(vertices) - side0
+    return FlipGraphReport(
+        bipartite=bipartite,
+        connected=components == 1,
+        odd_class_size=len(odd),
+        even_class_size=len(even),
+        matches_parity=bipartite and {side0, side1} == {odd, even},
+    )

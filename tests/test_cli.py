@@ -513,6 +513,18 @@ class TestFlipGraphCommand:
         assert lines[0] == "21 22"
         assert len(lines) == 12
 
+    def test_beyond_32_element_ground_set(self, capsys):
+        # The transversals of n = 17 live in [34], past the 32-element cap
+        # of ElementSet; the parity classes must not go through it.
+        code, out, _ = run(capsys, "flip-graph", "--n", 17)
+        assert code == EXIT_OK
+        fields, _ = parse_report(out)
+        assert fields["vertices"] == "131072"
+        assert fields["edges"] == str(17 << 16)
+        assert fields["bipartite"] == fields["connected"] == "yes"
+        assert fields["odd_class"] == fields["even_class"] == "65536"
+        assert fields["matches_parity"] == "yes"
+
     def test_capacity_error(self, capsys):
         code, _, err = run(capsys, "flip-graph", "--n", 30)
         assert code == EXIT_FAIL
