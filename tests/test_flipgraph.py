@@ -99,7 +99,7 @@ class TestDiagnostics:
 
 class TestMatchesLoop:
     """The array build, level-by-level search and one-pass export against
-    the per-swap builder, per-vertex queue and per-edge formatting."""
+    the per-swap construction, per-vertex queue and per-edge formatting."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_graph_report_and_text(self, n):
