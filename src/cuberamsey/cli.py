@@ -36,7 +36,7 @@ from .reports import (
     render_report,
     render_set_pair,
 )
-from .search import SearchOutcome, find_copy, verify_embedding
+from .search import MAX_SOURCE_N, SearchOutcome, find_copy, verify_embedding
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -241,6 +241,8 @@ def cmd_verify_lower_bound(args) -> int:
     n = args.n
     if n < 3:
         raise UsageError("the lower bound statement starts at n = 3")
+    if n > MAX_SOURCE_N:
+        raise UsageError(f"source cube parameter {n} outside 1..{MAX_SOURCE_N}")
     workers = _workers(args.threads)
     _check_budget(args.budget_ms)
     coloring = make_c3() if n == 3 else make_c0(n)
@@ -320,6 +322,8 @@ def cmd_recheck(args) -> int:
     if "n" not in fields or "m" not in fields:
         raise UsageError("report lacks n and m fields")
     n = int(fields["n"])
+    if not 1 <= n <= MAX_SOURCE_N:
+        raise UsageError(f"report says n={n}, outside 1..{MAX_SOURCE_N}")
     m = int(fields["m"])
     if coloring.space.m != m:
         raise UsageError(f"report says m={m} but coloring file has m={coloring.space.m}")

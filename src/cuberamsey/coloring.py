@@ -27,12 +27,9 @@ from .lattice import (
     MAX_GROUND_SIZE,
     CubeSpace,
     ElementSet,
-    element_sum_parity,
-    hit_probe,
     missed_count_table,
     odd_sum_table,
     pair_count_table,
-    pair_probe,
     popcount_table,
 )
 
@@ -130,29 +127,6 @@ class Coloring:
         )
 
 
-def layered_color(s: ElementSet) -> Color:
-    """Red iff |s| is odd."""
-    return Color.RED if s.size & 1 else Color.BLUE
-
-
-def c0_color(s: ElementSet, n: int) -> Color:
-    """The c0 scheme, decided set by set over [2n]."""
-    space = CubeSpace.with_pairs(n)
-    if s.m != space.m:
-        raise ValueError(f"set over [{s.m}] but scheme needs [{2 * n}]")
-    k = s.size
-    if k < (n + 1) // 2:
-        return Color.RED
-    if k < n:
-        return Color.RED if pair_probe(s.bits) else Color.BLUE
-    if k == n:
-        return Color.RED if element_sum_parity(s) == "odd" else Color.BLUE
-    if k <= n + n // 2:
-        misses = hit_probe(s.bits).bit_count() < n
-        return Color.BLUE if misses else Color.RED
-    return Color.BLUE
-
-
 def make_layered(m: int) -> Coloring:
     space = CubeSpace(m)
     red = (popcount_table(m) & 1).astype(bool)
@@ -160,8 +134,7 @@ def make_layered(m: int) -> Coloring:
 
 
 def make_c0(n: int) -> Coloring:
-    """Build the full c0 coloring on [2n] (vectorized; identical to applying
-    c0_color index by index)."""
+    """Build the full c0 coloring on [2n], one size band at a time."""
     space = CubeSpace.with_pairs(n)
     m = space.m
     sizes = popcount_table(m)

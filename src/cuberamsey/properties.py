@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import SetFamily
+from .flipgraph import build_flip_graph
 from .lattice import (
     ElementSet,
     hit_probe,
@@ -108,41 +109,27 @@ def is_not_too_high(family: SetFamily, n: int) -> PropertyReport:
     return PropertyReport("not-too-high", True, None, checked)
 
 
-def transversal_masks(n: int) -> list[int]:
-    """All pair-free n-subsets of [2n] (one element per pair), ascending."""
-    masks = []
-    for combo in range(1 << n):
-        mask = 0
-        for i in range(n):
-            mask |= 1 << (2 * i + (combo >> i & 1))
-        masks.append(mask)
-    return masks
-
-
 def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:
     """No two pair-free n-sets whose union has size n+1 are both members.
 
-    Qualifying set pairs are exactly partner-swap neighbors of transversals
-    (equal size n, both pair free, overlap n-1), so the walk covers the 2^n
-    transversals and the n swap neighbors of each.
+    Qualifying set pairs are exactly the edges of the flip graph on the
+    2^n transversals (equal size n, both pair free, overlap n-1), so the
+    check is over its edges.  They are sorted by lower end, then upper
+    end, which is the order of a walk over the transversals in ascending
+    order and the swap partners above each: the witness is the first
+    edge with both ends members, and ``checked_count`` counts the
+    transversals up to its lower end.
     """
     m = _require_over_2n(family, n)
-    member = family.mask
-    checked = 0
-    for t in transversal_masks(n):
-        checked += 1
-        if not member[t]:
-            continue
-        for i in range(n):
-            u = t ^ (3 << (2 * i))
-            if u > t and member[u]:
-                return PropertyReport(
-                    "flip-susceptible",
-                    False,
-                    (ElementSet(t, m), ElementSet(u, m)),
-                    checked,
-                )
-    return PropertyReport("flip-susceptible", True, None, checked)
+    graph = build_flip_graph(n)
+    both = family.mask[graph.edges].all(axis=1)
+    if not both.any():
+        return PropertyReport("flip-susceptible", True, None, len(graph.vertices))
+    t, u = graph.edges[np.argmax(both)].tolist()
+    checked = int(np.searchsorted(graph.vertices, t)) + 1
+    return PropertyReport(
+        "flip-susceptible", False, (ElementSet(t, m), ElementSet(u, m)), checked
+    )
 
 
 def is_restrictive(family: SetFamily, n: int) -> RestrictiveReport:

@@ -7,7 +7,7 @@ Values frozen in the test modules were produced by these routines.
 """
 
 from collections import deque
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -15,9 +15,10 @@ from cuberamsey import (
     Coloring,
     ColoringFormatError,
     CubeSpace,
+    ElementSet,
     FlipGraphReport,
+    PropertyReport,
     copy_image_masks,
-    transversal_masks,
 )
 from cuberamsey.lattice import MAX_GROUND_SIZE
 
@@ -330,10 +331,19 @@ def parse_coloring_loop(text: str) -> Coloring:
     return Coloring(CubeSpace(m), red, scheme=scheme)
 
 
+def transversals_literal(n: int) -> list[int]:
+    """Encoded pair-free n-subsets of [2n], ascending: one element chosen
+    from each pair {2i-1, 2i}."""
+    return sorted(
+        sum(1 << (j - 1) for j in choice)
+        for choice in product(*(sorted(p) for p in ground_pairs(n)))
+    )
+
+
 def flip_graph_loop(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Vertices (transversal masks, ascending) and edges (u, v), u < v,
     sorted, of the flip graph, one partner swap at a time."""
-    vertices = tuple(transversal_masks(n))
+    vertices = tuple(transversals_literal(n))
     edges = []
     for t in vertices:
         for i in range(n):
@@ -341,6 +351,25 @@ def flip_graph_loop(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...
             if u > t:
                 edges.append((t, u))
     return vertices, tuple(sorted(edges))
+
+
+def flip_susceptible_loop(family, n: int) -> PropertyReport:
+    """Flip-susceptibility by a walk over the transversals, ascending, and
+    the partner swaps above each; stops at the first pair of members.
+    ``checked_count`` counts the transversals visited."""
+    m = 2 * n
+    checked = 0
+    for t in transversals_literal(n):
+        checked += 1
+        if not family.contains(t):
+            continue
+        for i in range(n):
+            u = t ^ (3 << (2 * i))
+            if u > t and family.contains(u):
+                return PropertyReport(
+                    "flip-susceptible", False, (ElementSet(t, m), ElementSet(u, m)), checked
+                )
+    return PropertyReport("flip-susceptible", True, None, checked)
 
 
 def degree_histogram_loop(vertices, edges) -> dict[int, int]:

@@ -90,7 +90,9 @@ class TestColorCommand:
         assert code == EXIT_OK
         assert parse_coloring(out) == make_c0(2)
 
-    @pytest.mark.parametrize("args", [("color", "--scheme", "c0"), ("verify-lower-bound",)])
+    @pytest.mark.parametrize(
+        "args", [("color", "--scheme", "c0"), ("color", "--scheme", "layered", "--m", 32)]
+    )
     def test_tables_beyond_memory_exit_1(self, capsys, monkeypatch, args):
         monkeypatch.setattr(lattice, "physical_memory", lambda: 1 << 30)
         code, out, err = run(capsys, *args, "--n", 16)
@@ -336,12 +338,41 @@ class TestRecheckCommand:
         assert code == EXIT_FAIL
         assert "m=6" in err
 
+    @pytest.mark.parametrize("n", [13, 1000000000])
+    def test_report_n_outside_source_range(self, capsys, c0n3, tmp_path, n):
+        # n is read from the file; 2^n must not be evaluated before the
+        # range check.
+        report = tmp_path / "report.txt"
+        run(
+            capsys,
+            "find-copy", "--n", 3, "--coloring", c0n3,
+            "--threads", 1, "--out", report,
+        )
+        text = report.read_text()
+        tampered = text.replace("\nn: 3\n", f"\nn: {n}\n", 1)
+        assert tampered != text
+        report.write_text(tampered)
+        code, out, err = run(capsys, "recheck", report, "--coloring", c0n3)
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err == f"error: report says n={n}, outside 1..12\n"
+
 
 class TestVerifyLowerBoundCommand:
     def test_small_n_rejected(self, capsys):
         code, _, err = run(capsys, "verify-lower-bound", "--n", 2)
         assert code == EXIT_FAIL
         assert "n = 3" in err
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_n_beyond_search_rejected_before_building(self, capsys, monkeypatch, n):
+        built = []
+        monkeypatch.setattr(cli, "make_c0", lambda n: built.append(n))
+        code, out, err = run(capsys, "verify-lower-bound", "--n", n, "--threads", 1)
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err == f"error: source cube parameter {n} outside 1..12\n"
+        assert built == []
 
     def test_construction_route_rejects_external_coloring(self, capsys, c0n3, c0n4):
         # No route takes a coloring file, n = 3 included.

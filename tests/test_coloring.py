@@ -18,9 +18,7 @@ from cuberamsey import (
     CubeSpace,
     ElementSet,
     SetFamily,
-    c0_color,
     dual_coloring,
-    layered_color,
     load_coloring,
     make_c0,
     make_layered,
@@ -106,7 +104,6 @@ class TestLayeredScheme:
             s = ElementSet(v, 5)
             expected = Color.RED if s.size % 2 else Color.BLUE
             assert c.color_of(s) is expected
-            assert layered_color(s) is expected
 
     def test_scheme_label(self):
         assert make_layered(3).scheme == "layered"
@@ -137,16 +134,12 @@ class TestC0Scheme:
         for text, expected in examples.items():
             s = parse_set(text, 8)
             assert c.color_of(s) is expected, text
-            assert c0_color(s, 4) is expected, text
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_vectorized_matches_scalar_and_literal(self, n):
         c = make_c0(n)
         for v in range(c.space.size):
-            s = ElementSet(v, 2 * n)
-            scalar = c0_color(s, n)
-            assert c.color_of(s) is scalar
-            assert scalar.value == oracles.c0_color_literal(v, n)
+            assert c.color_of(v).value == oracles.c0_color_literal(v, n)
 
     def test_red_class_size_n4(self):
         c = make_c0(4)
@@ -154,10 +147,6 @@ class TestC0Scheme:
 
     def test_scheme_label(self):
         assert make_c0(3).scheme == "c0 n=3"
-
-    def test_rejects_wrong_ground_set(self):
-        with pytest.raises(ValueError):
-            c0_color(ElementSet(1, 6), 4)
 
 
 class TestDualColoring:

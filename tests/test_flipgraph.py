@@ -13,7 +13,6 @@ from cuberamsey import (
     build_flip_graph,
     check_bipartition,
     export_edges,
-    transversal_masks,
 )
 
 
@@ -39,7 +38,7 @@ class TestConstruction:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_vertices_are_exactly_the_transversals(self, n):
         g = build_flip_graph(n)
-        assert g.vertices.tolist() == transversal_masks(n)
+        assert g.vertices.tolist() == oracles.transversals_literal(n)
         literal = [
             v
             for v in range(1 << (2 * n))

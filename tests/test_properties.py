@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -13,6 +14,7 @@ from cuberamsey import (
     CubeSpace,
     ElementSet,
     SetFamily,
+    build_flip_graph,
     dual_coloring,
     extend_to_maximal,
     is_flip_susceptible,
@@ -22,7 +24,6 @@ from cuberamsey import (
     is_restrictive,
     make_c0,
     missed_pairs,
-    transversal_masks,
 )
 from cuberamsey.lattice import (
     missed_count_table,
@@ -122,7 +123,8 @@ class TestNotTooHigh:
 class TestFlipSusceptible:
     def test_transversal_masks_shape(self):
         for n in range(1, 7):
-            masks = transversal_masks(n)
+            masks = build_flip_graph(n).vertices.tolist()
+            assert masks == oracles.transversals_literal(n)
             assert len(masks) == 1 << n
             assert masks == sorted(masks)
             assert len(set(masks)) == len(masks)
@@ -131,7 +133,8 @@ class TestFlipSusceptible:
                 assert oracles.pair_free(t, n)
 
     def test_transversal_masks_n1(self):
-        assert transversal_masks(1) == [1, 2]
+        assert build_flip_graph(1).vertices.tolist() == [1, 2]
+        assert oracles.transversals_literal(1) == [1, 2]
 
     def test_adjacent_transversals_fail(self):
         fam = family_over(4, sets_over(4, "{1,3,5,7}", "{2,3,5,7}"))
@@ -146,7 +149,7 @@ class TestFlipSusceptible:
         # family of transversals has no qualifying pair.
         for n in (2, 3, 4, 5):
             m = 2 * n
-            tv = transversal_masks(n)
+            tv = oracles.transversals_literal(n)
             odd = [t for t in tv if oracles.sum_parity(t) == "odd"]
             even = [t for t in tv if oracles.sum_parity(t) == "even"]
             assert is_flip_susceptible(family_over(n, [ElementSet(t, m) for t in odd]), n).holds
@@ -155,6 +158,28 @@ class TestFlipSusceptible:
                 family_over(n, [ElementSet(t, m) for t in tv]), n
             )
             assert not rep.holds
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_transversal_walk(self, n):
+        # Random families; half keep only one parity class of transversals
+        # (which holds) and then may get one planted swap pair.
+        rng = np.random.default_rng(1300 + n)
+        space = CubeSpace.with_pairs(n)
+        tv = np.array(oracles.transversals_literal(n))
+        odd = np.array([oracles.sum_parity(int(t)) == "odd" for t in tv])
+        _, edges = oracles.flip_graph_loop(n)
+        outcomes = []
+        for _ in range(200):
+            mask = rng.random(space.size) < rng.uniform(0, 1)
+            if rng.random() < 0.5:
+                mask[tv[odd == bool(rng.integers(2))]] = False
+                if rng.random() < 0.5:
+                    mask[list(edges[rng.integers(len(edges))])] = True
+            fam = SetFamily(space, mask)
+            rep = is_flip_susceptible(fam, n)
+            assert rep == oracles.flip_susceptible_loop(fam, n)
+            outcomes.append(rep.holds)
+        assert 0 < sum(outcomes) < len(outcomes)
 
     def test_checked_count_bounded_by_transversals(self):
         rep = is_flip_susceptible(family_over(3, []), 3)
