@@ -134,23 +134,16 @@ def make_layered(m: int) -> Coloring:
 
 
 def make_c0(n: int) -> Coloring:
-    """Build the full c0 coloring on [2n], one size band at a time."""
+    """Build the full c0 coloring on [2n]: the union of the red parts of
+    the size bands, over the cached per-subset tables."""
     space = CubeSpace.with_pairs(n)
     m = space.m
     sizes = popcount_table(m)
-    red = np.empty(space.size, dtype=bool)
-
-    low = sizes < (n + 1) // 2
-    band_pair = (sizes >= (n + 1) // 2) & (sizes < n)
-    middle = sizes == n
-    band_miss = (sizes > n) & (sizes <= n + n // 2)
-    high = sizes > n + n // 2
-
-    red[low] = True
-    red[band_pair] = pair_count_table(m)[band_pair] > 0
-    red[middle] = odd_sum_table(m)[middle]
-    red[band_miss] = missed_count_table(m)[band_miss] == 0
-    red[high] = False
+    low, high = (n + 1) // 2, n + n // 2
+    red = sizes < low
+    red |= (sizes >= low) & (sizes < n) & (pair_count_table(m) > 0)
+    red |= (sizes == n) & odd_sum_table(m)
+    red |= (sizes > n) & (sizes <= high) & (missed_count_table(m) == 0)
     return Coloring(space, red, scheme=f"c0 n={n}")
 
 
@@ -187,18 +180,28 @@ class ColoringFormatError(ValueError):
 _WRAP = 64
 
 
-def render_coloring(c: Coloring) -> str:
-    """The QRC1 text for a coloring (Unix newlines, 64 chars per payload line)."""
-    # One byte buffer: the payload rows plus a newline column.
+def _qrc1_parts(c: Coloring) -> tuple[str, np.ndarray]:
+    """The QRC1 header and the payload as one uint8 buffer: the payload
+    rows (64 chars each) plus a newline column."""
     width = min(_WRAP, c.red.size)
     lines = np.full((c.red.size // width, width + 1), ord("\n"), dtype=np.uint8)
     lines[:, :-1] = np.where(c.red, np.uint8(ord("R")), np.uint8(ord("B"))).reshape(-1, width)
-    return f"QRC1\nm={c.space.m}\nscheme={c.scheme}\n" + lines.tobytes().decode("ascii")
+    return f"QRC1\nm={c.space.m}\nscheme={c.scheme}\n", lines
+
+
+def render_coloring(c: Coloring) -> str:
+    """The QRC1 text for a coloring (Unix newlines, 64 chars per payload line)."""
+    header, lines = _qrc1_parts(c)
+    return header + lines.tobytes().decode("ascii")
 
 
 def save_coloring(c: Coloring, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_coloring(c))
+    """Write the QRC1 text of ``render_coloring`` (UTF-8) without building it
+    as a string."""
+    header, lines = _qrc1_parts(c)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        fh.write(lines.data)
 
 
 def parse_coloring(text: str) -> Coloring:

@@ -7,10 +7,11 @@ with the element-sum parity classes.
 Everything is held in numpy arrays.  A transversal takes bit 2i or 2i+1
 of each pair i, so it is the even-position mask ``(4**n - 1) // 3`` plus
 the bits of a choice word c in [0, 2^n) spread to the even positions, and
-the masks ascend with c.  Swapping pair i XORs ``3 << 2i``; the swap moves
-up exactly when the transversal holds bit 2i (bit i of c clear), and then
-adds ``1 << 2i``.  Read row by row, the (vertex, pair) table of upward
-swaps lists every edge once, u < v, already in lexicographic order.
+the masks ascend with c, so c is also the vertex's index.  Swapping pair i
+XORs ``3 << 2i``; the swap moves up exactly when the transversal holds bit
+2i (bit i of c clear), and then adds ``1 << 2i`` to the mask and ``1 << i``
+to the index.  Read row by row, the (vertex, pair) table of upward swaps
+lists every edge once, u < v, already in lexicographic order.
 
 The breadth-first search runs one level at a time from the lowest
 unvisited vertex of each component, and a vertex's side is the parity of
@@ -50,16 +51,23 @@ def _odd_elements_mask(n: int) -> int:
 class FlipGraph:
     """Vertices are encoded transversal masks, a sorted ``int64`` array;
     edges are an ``(E, 2)`` ``int64`` array of (u, v) rows with u < v,
-    sorted lexicographically."""
+    sorted lexicographically.  ``ends`` holds the same rows as ``int32``
+    vertex indices (positions in ``vertices``); when it is not given, as
+    for a graph built by hand, it is found by binary search."""
 
     n: int
     vertices: np.ndarray
     edges: np.ndarray
+    ends: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.ends is None:
+            ends = np.searchsorted(self.vertices, self.edges).astype(np.int32)
+            object.__setattr__(self, "ends", ends)
 
     @property
     def degree_histogram(self) -> dict[int, int]:
-        ends = np.searchsorted(self.vertices, self.edges.ravel())
-        degrees = np.bincount(ends, minlength=len(self.vertices))
+        degrees = np.bincount(self.ends.ravel(), minlength=len(self.vertices))
         return {d: c for d, c in enumerate(np.bincount(degrees).tolist()) if c}
 
 
@@ -75,16 +83,19 @@ class FlipGraphReport:
 def build_flip_graph(n: int) -> FlipGraph:
     if not 1 <= n <= MAX_FLIP_N:
         raise CapacityError(f"flip graph supports 1 <= n <= {MAX_FLIP_N}, got {n}")
-    choice = np.arange(1 << n, dtype=np.int64)
+    choice = np.arange(1 << n, dtype=np.int32)
     vertices = np.full(1 << n, _odd_elements_mask(n), dtype=np.int64)
+    up = np.empty((1 << n, n), dtype=bool)
     for i in range(n):
-        vertices += (choice >> i & 1) << (2 * i)
-    pairs = np.arange(n, dtype=np.int64)
-    row, pair = np.nonzero((choice[:, None] >> pairs & 1) == 0)
-    edges = np.empty((row.size, 2), dtype=np.int64)
-    edges[:, 0] = vertices[row]
-    edges[:, 1] = edges[:, 0] + (np.int64(1) << 2 * pair)
-    return FlipGraph(n, vertices, edges)
+        bit = choice >> i & 1
+        vertices += bit.astype(np.int64) << (2 * i)
+        up[:, i] = bit == 0
+    row, pair = np.nonzero(up)
+    ends = np.empty((row.size, 2), dtype=np.int32)
+    ends[:, 0] = row
+    ends[:, 1] = row + (1 << pair)
+    edges = vertices[ends]
+    return FlipGraph(n, vertices, edges, ends)
 
 
 def _levels(count: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
@@ -92,11 +103,12 @@ def _levels(count: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
     the number of components, over the undirected edges ``ends`` (pairs of
     vertex indices).  Each component is searched from its lowest index."""
     src = np.concatenate((ends[:, 0], ends[:, 1]))
-    dst = np.concatenate((ends[:, 1], ends[:, 0]))
-    # The first half of src is sorted already, which a merge sort exploits.
-    adjacent = dst[np.argsort(src, kind="stable")]
     offset = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=count), out=offset[1:])
+    # The first half of src is sorted already, which a merge sort exploits.
+    order = np.argsort(src, kind="stable")
+    del src  # before the reversed copy: one edge-sized array fewer at the peak
+    adjacent = np.concatenate((ends[:, 1], ends[:, 0]))[order]
 
     level = np.full(count, -1, dtype=np.int64)
     slot = np.empty(count, dtype=np.int64)
@@ -126,8 +138,7 @@ def _levels(count: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
 def check_bipartition(graph: FlipGraph) -> FlipGraphReport:
     """Breadth-first 2-coloring from the lowest vertex of each component,
     then comparison of the resulting sides with the parity classes."""
-    vertices = graph.vertices
-    ends = np.searchsorted(vertices, graph.edges)
+    vertices, ends = graph.vertices, graph.ends
     level, components = _levels(len(vertices), ends)
     side = level & 1
     bipartite = bool(np.all(side[ends[:, 0]] != side[ends[:, 1]]))

@@ -208,10 +208,18 @@ def iterate_layer(space: CubeSpace, k: int) -> Iterator[ElementSet]:
 
 
 # Vectorized counterparts over dense per-subset tables (index = encoded value).
+#
+# Every table holds a quantity that adds up (set size, pair counts) or XORs
+# up (odd-element parity) over disjoint bit ranges.  Split at an even bit k,
+# no pair straddles the split, so the table over 2^[m] is the outer sum of
+# the same quantity over the high m - k bits and the low k bits: the value
+# hi << k | lo is row hi, column lo of the outer table read row by row.
+# Only the two half index tables, of 2^(m-k) and 2^k entries, are built.
 
 # Peak bytes per subset of a command that holds dense tables over 2^[m]:
-# `color --n 12` (m = 24) peaks at 334 MB, about 21 B per subset.
-TABLE_BYTES_PER_SUBSET = 21
+# the heaviest, `color --n 12` written to standard output (m = 24), peaks
+# at 191 MB, about 12 B per subset.
+TABLE_BYTES_PER_SUBSET = 12
 
 
 def physical_memory() -> int | None:
@@ -223,54 +231,73 @@ def physical_memory() -> int | None:
         return None
 
 
-@lru_cache(maxsize=8)
-def index_table(m: int) -> np.ndarray:
-    """All encoded values 0..2^m-1 as a read-only uint32 array.  Raises
-    CapacityError, before allocating, when dense tables over 2^[m] would
-    not fit in physical memory (where the platform reports it)."""
+def _check_capacity(m: int) -> None:
+    """Raise CapacityError when dense tables over 2^[m] would not fit in
+    physical memory (where the platform reports it)."""
     need, have = TABLE_BYTES_PER_SUBSET << m, physical_memory()
     if have is not None and need > have:
         raise CapacityError(
             f"dense tables over 2^[{m}] need about {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
+
+
+@lru_cache(maxsize=8)
+def index_table(m: int) -> np.ndarray:
+    """All encoded values 0..2^m-1 as a read-only uint32 array.  Raises
+    CapacityError, before allocating, when dense tables over 2^[m] would
+    not fit in physical memory (where the platform reports it)."""
+    _check_capacity(m)
     idx = np.arange(1 << m, dtype=np.uint32)
     idx.flags.writeable = False
     return idx
 
 
+def _split_table(m: int, half, combine=np.add) -> np.ndarray:
+    """The read-only table over 2^[m] of a quantity that ``combine`` adds up
+    over disjoint bit ranges.  ``half(idx, width)`` gives the quantity for
+    the values ``idx`` of a ``width``-bit range starting at an even bit.
+    Raises CapacityError, before allocating, as ``index_table`` does."""
+    _check_capacity(m)
+    k = m // 2 & ~1  # even: no pair straddles the split
+    high, low = half(index_table(m - k), m - k), half(index_table(k), k)
+    table = combine.outer(high, low).reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
+def _pair_bits(idx: np.ndarray, width: int) -> np.ndarray:
+    return np.bitwise_count(idx & (idx >> np.uint32(1)) & np.uint32(_EVEN_POSITIONS))
+
+
+def _missed_pairs(idx: np.ndarray, width: int) -> np.ndarray:
+    hit = (idx | (idx >> np.uint32(1))) & np.uint32(_EVEN_POSITIONS)
+    return width // 2 - np.bitwise_count(hit)
+
+
+def _odd_parity(idx: np.ndarray, width: int) -> np.ndarray:
+    return (np.bitwise_count(idx & np.uint32(_EVEN_POSITIONS)) & np.uint8(1)).astype(bool)
+
+
 @lru_cache(maxsize=8)
 def popcount_table(m: int) -> np.ndarray:
-    """Set size per encoded value."""
-    sizes = np.bitwise_count(index_table(m)).astype(np.uint8)
-    sizes.flags.writeable = False
-    return sizes
+    """Set size per encoded value (uint8)."""
+    return _split_table(m, lambda idx, width: np.bitwise_count(idx))
 
 
 @lru_cache(maxsize=8)
 def pair_count_table(m: int) -> np.ndarray:
-    """Complete-pair count per encoded value (pairing of [m], m even)."""
-    idx = index_table(m)
-    probe = idx & (idx >> np.uint32(1)) & np.uint32(_EVEN_POSITIONS)
-    counts = np.bitwise_count(probe).astype(np.uint8)
-    counts.flags.writeable = False
-    return counts
+    """Complete-pair count per encoded value (uint8; pairing of [m], m even)."""
+    return _split_table(m, _pair_bits)
 
 
 @lru_cache(maxsize=8)
 def missed_count_table(m: int) -> np.ndarray:
-    """Missed-pair count per encoded value (pairing of [m], m even)."""
-    idx = index_table(m)
-    hit = (idx | (idx >> np.uint32(1))) & np.uint32(_EVEN_POSITIONS)
-    counts = (m // 2 - np.bitwise_count(hit)).astype(np.uint8)
-    counts.flags.writeable = False
-    return counts
+    """Missed-pair count per encoded value (uint8; pairing of [m], m even)."""
+    return _split_table(m, _missed_pairs)
 
 
 @lru_cache(maxsize=8)
 def odd_sum_table(m: int) -> np.ndarray:
     """True where the element sum of the encoded set is odd."""
-    idx = index_table(m)
-    odd = (np.bitwise_count(idx & np.uint32(_EVEN_POSITIONS)) & np.uint8(1)).astype(bool)
-    odd.flags.writeable = False
-    return odd
+    return _split_table(m, _odd_parity, np.bitwise_xor)

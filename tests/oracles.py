@@ -139,6 +139,57 @@ def c0_color_literal(bits: int, n: int) -> str:
     return "B"
 
 
+# The per-subset tables as they were built before the split-table builder:
+# one vectorized expression each over the full index array 0..2^m-1.  Bits
+# 0, 2, 4, ... hold one probe position per pair and the odd elements.
+_EVEN_POSITIONS = np.uint32(0x55555555)
+
+
+def _full_index(m: int) -> np.ndarray:
+    return np.arange(1 << m, dtype=np.uint32)
+
+
+def popcount_full(m: int) -> np.ndarray:
+    return np.bitwise_count(_full_index(m)).astype(np.uint8)
+
+
+def pair_count_full(m: int) -> np.ndarray:
+    idx = _full_index(m)
+    return np.bitwise_count(idx & (idx >> np.uint32(1)) & _EVEN_POSITIONS).astype(np.uint8)
+
+
+def missed_count_full(m: int) -> np.ndarray:
+    idx = _full_index(m)
+    hit = (idx | (idx >> np.uint32(1))) & _EVEN_POSITIONS
+    return (m // 2 - np.bitwise_count(hit)).astype(np.uint8)
+
+
+def odd_sum_full(m: int) -> np.ndarray:
+    idx = _full_index(m)
+    return (np.bitwise_count(idx & _EVEN_POSITIONS) & np.uint8(1)).astype(bool)
+
+
+def c0_band_masks(n: int) -> np.ndarray:
+    """The c0 red table on [2n], one size band at a time: five band masks
+    and a fancy-index assignment each, over the full-index tables."""
+    m = 2 * n
+    sizes = popcount_full(m)
+    red = np.empty(1 << m, dtype=bool)
+
+    low = sizes < (n + 1) // 2
+    band_pair = (sizes >= (n + 1) // 2) & (sizes < n)
+    middle = sizes == n
+    band_miss = (sizes > n) & (sizes <= n + n // 2)
+    high = sizes > n + n // 2
+
+    red[low] = True
+    red[band_pair] = pair_count_full(m)[band_pair] > 0
+    red[middle] = odd_sum_full(m)[middle]
+    red[band_miss] = missed_count_full(m)[band_miss] == 0
+    red[high] = False
+    return red
+
+
 def count_embeddings_literal(members, n: int) -> int:
     """Labeled embedding count by brute force over ordered member tuples,
     with the subset biconditional evaluated on frozensets."""

@@ -141,6 +141,10 @@ class TestC0Scheme:
         for v in range(c.space.size):
             assert c.color_of(v).value == oracles.c0_color_literal(v, n)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_band_union_matches_band_masks(self, n):
+        assert np.array_equal(make_c0(n).red, oracles.c0_band_masks(n))
+
     def test_red_class_size_n4(self):
         c = make_c0(4)
         assert c.color_class(Color.RED).size == 125
@@ -190,11 +194,11 @@ class TestQRC1Format:
             assert parse_coloring(render_coloring(c)) == c
 
     def test_save_load_byte_exact(self, tmp_path):
-        c = make_c0(3)
         path = tmp_path / "c.qrc1"
-        save_coloring(c, path)
-        assert path.read_bytes().decode() == render_coloring(c)
-        assert load_coloring(path) == c
+        for c in (make_c0(3), Coloring(CubeSpace(2), make_layered(2).red, "größe ≤ 2")):
+            save_coloring(c, path)
+            assert path.read_bytes().decode() == render_coloring(c)
+            assert load_coloring(path) == c
 
     def test_parse_accepts_missing_final_newline(self):
         assert parse_coloring("QRC1\nm=1\nscheme=x\nBR") == parse_coloring(

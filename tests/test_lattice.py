@@ -5,6 +5,7 @@ import os
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -259,16 +260,29 @@ class TestTables:
             assert miss[v] == len(missed_pairs(s, space))
             assert odd[v] == (element_sum_parity(s) == "odd")
 
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_split_tables_match_full_index_builders(self, m):
+        for table, oracle in (
+            (popcount_table, oracles.popcount_full),
+            (pair_count_table, oracles.pair_count_full),
+            (missed_count_table, oracles.missed_count_full),
+            (odd_sum_table, oracles.odd_sum_full),
+        ):
+            got, want = table(m), oracle(m)
+            assert got.dtype == want.dtype and got.shape == want.shape, table.__name__
+            assert np.array_equal(got, want), table.__name__
+            assert not got.flags.writeable
+
     def test_tables_are_cached(self):
         assert popcount_table(6) is popcount_table(6)
 
 
 class TestMemoryGuard:
-    def raises_without_allocating(self, m):
+    def raises_without_allocating(self, m, builder=index_table):
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError) as exc:
-                index_table.__wrapped__(m)  # past the cache: the guard must run
+                builder.__wrapped__(m)  # past the cache: the guard must run
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,6 +307,26 @@ class TestMemoryGuard:
         )
         monkeypatch.setattr(lattice, "physical_memory", lambda: need)
         assert len(index_table.__wrapped__(10)) == 1 << 10
+
+    @pytest.mark.parametrize(
+        "builder",
+        [popcount_table, pair_count_table, missed_count_table, odd_sum_table],
+        ids=lambda f: f.__name__,
+    )
+    def test_table_builders_are_refused(self, monkeypatch, builder):
+        need = TABLE_BYTES_PER_SUBSET << 32
+        if lattice.physical_memory() < need:
+            message = self.raises_without_allocating(32, builder)
+            assert f"dense tables over 2^[32] need about {need} bytes" in message
+        need = TABLE_BYTES_PER_SUBSET << 10
+        monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
+        message = self.raises_without_allocating(10, builder)
+        assert message == (
+            f"dense tables over 2^[10] need about {need} bytes, "
+            f"more than the {need - 1} bytes of physical memory"
+        )
+        monkeypatch.setattr(lattice, "physical_memory", lambda: need)
+        assert len(builder.__wrapped__(10)) == 1 << 10
 
     def test_physical_memory_is_read_from_the_os(self):
         assert lattice.physical_memory() > TABLE_BYTES_PER_SUBSET << 24
