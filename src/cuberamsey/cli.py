@@ -80,9 +80,10 @@ def _check_budget(budget_ms: float | None) -> None:
         raise UsageError(f"--budget-ms must be a number >= 0, got {budget_ms:g}")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
+    """Write text given as an iterable of strings, each as it comes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _finish(args, pairs, start: float, code: int, report_out: str | None = None) -> int:
@@ -90,7 +91,7 @@ def _finish(args, pairs, start: float, code: int, report_out: str | None = None)
     pairs.append(("elapsed_ms", f"{(time.perf_counter() - start) * 1000.0:.1f}"))
     text = render_report(pairs)
     if report_out:
-        _write_text(report_out, text)
+        _write_text(report_out, (text,))
     if not args.quiet:
         sys.stdout.write(text)
     return code

@@ -27,11 +27,13 @@ from .lattice import (
     MAX_GROUND_SIZE,
     CubeSpace,
     ElementSet,
-    missed_count_table,
-    odd_sum_table,
-    pair_count_table,
     popcount_table,
+    profile_table,
 )
+
+# The per-subset table builders stay attributes of this module, where the
+# tracer of perfbench/traced.py wraps them, though c0 no longer uses them.
+from .lattice import missed_count_table, odd_sum_table, pair_count_table  # noqa: F401
 
 
 class Color(enum.Enum):
@@ -135,16 +137,21 @@ def make_layered(m: int) -> Coloring:
 
 def make_c0(n: int) -> Coloring:
     """Build the full c0 coloring on [2n]: the union of the red parts of
-    the size bands, over the cached per-subset tables."""
+    the size bands, a rule on each set's size, complete pairs and element
+    sum parity."""
     space = CubeSpace.with_pairs(n)
-    m = space.m
-    sizes = popcount_table(m)
     low, high = (n + 1) // 2, n + n // 2
-    red = sizes < low
-    red |= (sizes >= low) & (sizes < n) & (pair_count_table(m) > 0)
-    red |= (sizes == n) & odd_sum_table(m)
-    red |= (sizes > n) & (sizes <= high) & (missed_count_table(m) == 0)
-    return Coloring(space, red, scheme=f"c0 n={n}")
+
+    def red(size, pairs, odd):
+        missed = n - size + pairs
+        return (
+            (size < low)
+            | (size >= low) & (size < n) & (pairs > 0)
+            | (size == n) & odd
+            | (size > n) & (size <= high) & (missed == 0)
+        )
+
+    return Coloring(space, profile_table(space.m, red), scheme=f"c0 n={n}")
 
 
 # Bit i is 1 when the set encoded by i is red in c3.
@@ -182,10 +189,14 @@ _WRAP = 64
 
 def _qrc1_parts(c: Coloring) -> tuple[str, np.ndarray]:
     """The QRC1 header and the payload as one uint8 buffer: the payload
-    rows (64 chars each) plus a newline column."""
+    rows (64 chars each) plus a newline column.  The characters are
+    written in place: "B" + 16 for red is "R"."""
     width = min(_WRAP, c.red.size)
-    lines = np.full((c.red.size // width, width + 1), ord("\n"), dtype=np.uint8)
-    lines[:, :-1] = np.where(c.red, np.uint8(ord("R")), np.uint8(ord("B"))).reshape(-1, width)
+    lines = np.empty((c.red.size // width, width + 1), dtype=np.uint8)
+    lines[:, -1] = ord("\n")
+    body = lines[:, :-1]
+    np.multiply(c.red.view(np.uint8).reshape(-1, width), np.uint8(ord("R") - ord("B")), out=body)
+    body += np.uint8(ord("B"))
     return f"QRC1\nm={c.space.m}\nscheme={c.scheme}\n", lines
 
 

@@ -30,6 +30,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -156,8 +157,10 @@ def check_bipartition(graph: FlipGraph) -> FlipGraphReport:
     )
 
 
-def export_edges(graph: FlipGraph) -> str:
-    """One edge per line, the two encoded vertex values ascending."""
+def export_edges(graph: FlipGraph) -> Iterator[str]:
+    """The edge list as consecutive chunks of text: one edge per line, the
+    two encoded vertex values ascending."""
     edges = graph.edges
-    blocks = (edges[lo : lo + _EXPORT_CHUNK] for lo in range(0, len(edges), _EXPORT_CHUNK))
-    return "".join("%d %d\n" * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+    for lo in range(0, len(edges), _EXPORT_CHUNK):
+        block = edges[lo : lo + _EXPORT_CHUNK]
+        yield "%d %d\n" * len(block) % tuple(block.ravel().tolist())

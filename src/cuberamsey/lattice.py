@@ -216,19 +216,40 @@ def iterate_layer(space: CubeSpace, k: int) -> Iterator[ElementSet]:
 # hi << k | lo is row hi, column lo of the outer table read row by row.
 # Only the two half index tables, of 2^(m-k) and 2^k entries, are built.
 
-# Peak bytes per subset of a command that holds dense tables over 2^[m]:
-# the heaviest, `color --n 12` written to standard output (m = 24), peaks
-# at 191 MB, about 12 B per subset.
+# Peak bytes per subset of a command that holds dense tables over 2^[m].
+# With profile tables the heaviest, `check --n 12` (m = 24), peaks at
+# 111 MB, about 7 B per subset; the figure keeps the 12 B measured before
+# them, so that an estimate just under the machine's memory is not taken
+# as room for a command and a search over its family.
 TABLE_BYTES_PER_SUBSET = 12
 
 
-def physical_memory() -> int | None:
-    """Bytes of physical memory of the machine; None where the platform
-    does not report it."""
+# The memory limit of this process's cgroup (cgroup v2): a byte count, or
+# "max" for none.
+CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
+def _cgroup_memory_limit() -> int | None:
+    """The byte limit in CGROUP_MEMORY_MAX; None where the file is absent,
+    unreadable, "max" or not a byte count."""
     try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        with open(CGROUP_MEMORY_MAX, encoding="ascii") as fh:
+            text = fh.read().strip()
+    except (OSError, UnicodeDecodeError):
+        return None
+    return int(text) if text.isdigit() else None
+
+
+def physical_memory() -> int | None:
+    """Bytes of memory the process may use: the machine's physical memory,
+    or the cgroup's limit where that is smaller; None where the platform
+    does not report physical memory."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError):
         return None
+    limit = _cgroup_memory_limit()
+    return have if limit is None else min(have, limit)
 
 
 def _check_capacity(m: int) -> None:
@@ -301,3 +322,35 @@ def missed_count_table(m: int) -> np.ndarray:
 def odd_sum_table(m: int) -> np.ndarray:
     """True where the element sum of the encoded set is odd."""
     return _split_table(m, _odd_parity, np.bitwise_xor)
+
+
+def _profile_classes(idx: np.ndarray, width: int):
+    """The distinct (size, complete pairs, odd element sum) profiles of the
+    values ``idx`` of a ``width``-bit range starting at an even bit, as
+    int, int and bool arrays, and the profile index of each value."""
+    key = np.bitwise_count(idx).astype(np.int64) << 8 | _pair_bits(idx, width)
+    classes, inverse = np.unique(key << 1 | _odd_parity(idx, width), return_inverse=True)
+    return (classes >> 9, classes >> 1 & 0xFF, (classes & 1).astype(bool)), inverse
+
+
+def profile_table(m: int, rule) -> np.ndarray:
+    """The read-only bool table over 2^[m], m even, of ``rule(size, pairs,
+    odd)``: a predicate of a set's size, its number of complete pairs and
+    whether its element sum is odd, evaluated elementwise on int, int and
+    bool arrays.  (The set misses m/2 - size + pairs pairs.)
+
+    Split as in ``_split_table``, the three quantities add up (the parity
+    by XOR) over the two halves, so the rule is evaluated once per pair of
+    half profile classes (49 x 49 at m = 24), and each row of the table,
+    one value of the high half, is a copy of its class's row.  Raises
+    CapacityError, before allocating, as ``index_table`` does."""
+    if m % 2:
+        raise ValueError("profile tables need a paired space (m = 2n)")
+    _check_capacity(m)
+    k = m // 2 & ~1
+    (size_h, pairs_h, odd_h), high = _profile_classes(index_table(m - k), m - k)
+    (size_l, pairs_l, odd_l), low = _profile_classes(index_table(k), k)
+    rows = rule(size_h[:, None] + size_l, pairs_h[:, None] + pairs_l, odd_h[:, None] ^ odd_l)
+    table = rows.astype(bool, copy=False)[:, low].take(high, axis=0).reshape(-1)
+    table.flags.writeable = False
+    return table

@@ -9,19 +9,18 @@ that can be re-verified against the property definition directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .coloring import SetFamily
 from .flipgraph import build_flip_graph
-from .lattice import (
-    ElementSet,
-    hit_probe,
-    missed_count_table,
-    pair_count_table,
-    pair_probe,
-    popcount_table,
-)
+from .lattice import ElementSet, hit_probe, pair_probe, profile_table
+
+# The per-subset table builders stay attributes of this module, where the
+# tracer of perfbench/traced.py wraps them, though the checks no longer
+# use them.
+from .lattice import missed_count_table, pair_count_table, popcount_table  # noqa: F401
 
 Witness = ElementSet | tuple[ElementSet, ElementSet] | None
 
@@ -71,42 +70,52 @@ def _require_over_2n(family: SetFamily, n: int) -> int:
     return family.space.m
 
 
-def _lowest(mask: np.ndarray, m: int) -> ElementSet:
-    return ElementSet(int(np.flatnonzero(mask)[0]), m)
+def _band_report(name: str, bad: np.ndarray, m: int, checked: int) -> PropertyReport:
+    """The report of a property whose violating members are ``bad``; the
+    witness is the lowest one."""
+    first = int(np.argmax(bad))
+    if bad[first]:
+        return PropertyReport(name, False, ElementSet(first, m), checked)
+    return PropertyReport(name, True, None, checked)
+
+
+def _sizes_between(m: int, lo: int, hi: int) -> int:
+    """How many subsets of [m] have lo..hi elements."""
+    return sum(comb(m, k) for k in range(lo, hi + 1))
 
 
 def is_pair_enforcing(family: SetFamily, n: int) -> PropertyReport:
     """Members with ceil(n/2) <= |S| < n must contain a complete pair."""
     m = _require_over_2n(family, n)
-    sizes = popcount_table(m)
-    band = (sizes >= (n + 1) // 2) & (sizes < n)
-    bad = family.mask & band & (pair_count_table(m) == 0)
-    checked = int(np.count_nonzero(band))
-    if bad.any():
-        return PropertyReport("pair-enforcing", False, _lowest(bad, m), checked)
-    return PropertyReport("pair-enforcing", True, None, checked)
+    low = (n + 1) // 2
+
+    def bad(size, pairs, odd):
+        return (size >= low) & (size < n) & (pairs == 0)
+
+    return _band_report(
+        "pair-enforcing", family.mask & profile_table(m, bad), m, _sizes_between(m, low, n - 1)
+    )
 
 
 def is_miss_forbidding(family: SetFamily, n: int) -> PropertyReport:
     """Members with n < |S| <= n + n//2 must not miss any pair."""
     m = _require_over_2n(family, n)
-    sizes = popcount_table(m)
-    band = (sizes > n) & (sizes <= n + n // 2)
-    bad = family.mask & band & (missed_count_table(m) > 0)
-    checked = int(np.count_nonzero(band))
-    if bad.any():
-        return PropertyReport("miss-forbidding", False, _lowest(bad, m), checked)
-    return PropertyReport("miss-forbidding", True, None, checked)
+    high = n + n // 2
+
+    def bad(size, pairs, odd):
+        return (size > n) & (size <= high) & (n - size + pairs > 0)
+
+    return _band_report(
+        "miss-forbidding", family.mask & profile_table(m, bad), m, _sizes_between(m, n + 1, high)
+    )
 
 
 def is_not_too_high(family: SetFamily, n: int) -> PropertyReport:
     """No member larger than n + n//2."""
     m = _require_over_2n(family, n)
-    bad = family.mask & (popcount_table(m) > n + n // 2)
-    checked = family.size
-    if bad.any():
-        return PropertyReport("not-too-high", False, _lowest(bad, m), checked)
-    return PropertyReport("not-too-high", True, None, checked)
+    high = n + n // 2
+    bad = family.mask & profile_table(m, lambda size, pairs, odd: size > high)
+    return _band_report("not-too-high", bad, m, family.size)
 
 
 def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:

@@ -99,6 +99,11 @@ _PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry", "target-sym
 _LOW_BITS = 10
 _CACHED_ENTRIES = 1 << 16
 
+# Automorphism checks gather the images of the members of a family with at
+# most 2^m / _SPARSE members, and compare whole membership tables otherwise:
+# at m = 24 a member costs about 14 times as much as a table entry.
+_SPARSE = 16
+
 
 @dataclass(frozen=True)
 class Embedding:
@@ -276,13 +281,44 @@ def _candidate_swaps(m: int) -> list[tuple[int, int]]:
     return list(dict.fromkeys(swaps))
 
 
-def _family_swaps(family: SetFamily) -> list[tuple[int, int]]:
-    """The candidate swaps that map every member into the family, each
-    checked by one vectorised pass over the members."""
-    members = family.member_values().astype(np.uint32)
-    return [
-        g for g in _candidate_swaps(family.space.m) if family.mask[_swap(members, *g)].all()
-    ]
+def _swap_axes(m: int, mask: int, shift: int) -> list[int]:
+    """A swap as a permutation of the axes of a table over 2^[m] reshaped
+    to (2,) * m, where bit i is axis m - 1 - i."""
+    axes = list(range(m))
+    for i in range(m):
+        if mask >> i & 1:
+            a, b = m - 1 - i, m - 1 - i - shift
+            axes[a], axes[b] = axes[b], axes[a]
+    return axes
+
+
+def _family_swaps(family: SetFamily, deadline: float | None = None) -> list[tuple[int, int]]:
+    """The candidate swaps that map every member into the family.  A swap
+    g is a bijection of 2^[m], so it maps F into F exactly when it maps F
+    onto F, that is when mask[g(x)] == mask[x] for every x.  A family of
+    at most 2^m / _SPARSE members is checked on its members' images; any
+    other on its membership table, compared with the same table read with
+    the swap's axes exchanged, which copies neither.  Raises _DeadlineHit,
+    between swaps, once the deadline has passed."""
+    m = family.space.m
+    if family.size * _SPARSE <= family.space.size:
+        members = family.member_values().astype(np.uint32)
+
+        def fixes(g):
+            return family.mask[_swap(members, *g)].all()
+    else:
+        table = family.mask.reshape((2,) * m)
+
+        def fixes(g):
+            return np.array_equal(table, table.transpose(_swap_axes(m, *g)))
+
+    swaps = []
+    for g in _candidate_swaps(m):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _DeadlineHit
+        if fixes(g):
+            swaps.append(g)
+    return swaps
 
 
 class _Engine:
@@ -565,7 +601,8 @@ def find_copy(
     and each is one task; the tasks run here or on a pool of workers and
     are folded in task order, so outcomes, witnesses and counters do not
     depend on the worker count.  A found outcome counts the tasks up to and
-    including the find.  A budget hit starts no more tasks, but a find by a
+    including the find.  The budget also covers the automorphism checks
+    before the walk.  A budget hit starts no more tasks, but a find by a
     task still running wins over it.
     """
     if mode not in ("first", "count"):
@@ -579,9 +616,15 @@ def find_copy(
     else:
         deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         _prepare_sources(n)  # Past MAX_SOURCE_N this raises before any pool starts.
-        swaps = _family_swaps(family) if prune else []
-        workers = min(workers, family.size)
-        found, count, nodes, hits, hit = _search(family, n, mode, prune, deadline, swaps, workers)
+        try:
+            swaps = _family_swaps(family, deadline) if prune else []
+        except _DeadlineHit:
+            found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), True
+        else:
+            workers = min(workers, family.size)
+            found, count, nodes, hits, hit = _search(
+                family, n, mode, prune, deadline, swaps, workers
+            )
     elapsed = (time.perf_counter() - start) * 1000.0
     if found is not None:
         # The find lists images in assignment order; sort them by source.

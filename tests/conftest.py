@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from cuberamsey import Coloring, CubeSpace, SetFamily
+from cuberamsey import Coloring, CubeSpace, SetFamily, make_c0
 from cuberamsey.reports import stable_lines
 
 try:
@@ -32,6 +32,15 @@ def random_coloring(m: int, rng: random.Random, scheme: str = "random") -> Color
     space = CubeSpace(m)
     red = np.array([rng.random() < 0.5 for _ in range(space.size)], dtype=bool)
     return Coloring(space, red, scheme=scheme)
+
+
+def tampered_c0(n):
+    """c0 with {1,2,3,4,5} painted red: at n = 4 it misses the pair {7,8},
+    so Red is not restrictive, yet neither class holds a copy of 2^[4]."""
+    c = make_c0(n)
+    red = c.red.copy()
+    red[31] = True
+    return Coloring(c.space, red, scheme="tampered")
 
 
 def same_stable_report(a: str, b: str) -> bool:

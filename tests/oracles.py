@@ -20,7 +20,13 @@ from cuberamsey import (
     PropertyReport,
     copy_image_masks,
 )
-from cuberamsey.lattice import MAX_GROUND_SIZE
+from cuberamsey.lattice import (
+    MAX_GROUND_SIZE,
+    missed_count_table,
+    pair_count_table,
+    popcount_table,
+)
+from cuberamsey.search import _candidate_swaps, _swap
 
 
 def subset_elements(bits: int) -> tuple[int, ...]:
@@ -470,3 +476,53 @@ def bipartition_loop(vertices, edges) -> FlipGraphReport:
         even_class_size=len(even),
         matches_parity=bipartite and {side0, side1} == {odd, even},
     )
+
+
+# The three band checks as they were before profile tables: band masks over
+# the dense per-subset tables, a full-size AND per check, and checked counts
+# from count_nonzero.
+
+def _band_report_full(name: str, bad: np.ndarray, m: int, checked: int) -> PropertyReport:
+    if bad.any():
+        return PropertyReport(name, False, ElementSet(int(np.flatnonzero(bad)[0]), m), checked)
+    return PropertyReport(name, True, None, checked)
+
+
+def pair_enforcing_tables(family, n: int) -> PropertyReport:
+    m = 2 * n
+    sizes = popcount_table(m)
+    band = (sizes >= (n + 1) // 2) & (sizes < n)
+    bad = family.mask & band & (pair_count_table(m) == 0)
+    return _band_report_full("pair-enforcing", bad, m, int(np.count_nonzero(band)))
+
+
+def miss_forbidding_tables(family, n: int) -> PropertyReport:
+    m = 2 * n
+    sizes = popcount_table(m)
+    band = (sizes > n) & (sizes <= n + n // 2)
+    bad = family.mask & band & (missed_count_table(m) > 0)
+    return _band_report_full("miss-forbidding", bad, m, int(np.count_nonzero(band)))
+
+
+def not_too_high_tables(family, n: int) -> PropertyReport:
+    m = 2 * n
+    bad = family.mask & (popcount_table(m) > n + n // 2)
+    return _band_report_full("not-too-high", bad, m, family.size)
+
+
+def qrc1_where(c: Coloring) -> str:
+    """The QRC1 text as it was rendered before the in-place write: the R/B
+    payload by np.where, copied into a newline-framed buffer."""
+    width = min(64, c.red.size)
+    lines = np.full((c.red.size // width, width + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = np.where(c.red, np.uint8(ord("R")), np.uint8(ord("B"))).reshape(-1, width)
+    return f"QRC1\nm={c.space.m}\nscheme={c.scheme}\n" + lines.tobytes().decode("ascii")
+
+
+def family_swaps_members(family) -> list[tuple[int, int]]:
+    """The candidate swaps that map every member into the family, each
+    checked by one vectorised gather of the swapped member array."""
+    members = family.member_values().astype(np.uint32)
+    return [
+        g for g in _candidate_swaps(family.space.m) if family.mask[_swap(members, *g)].all()
+    ]

@@ -2,10 +2,9 @@
 
 import pytest
 
-from conftest import same_stable_report
+from conftest import same_stable_report, tampered_c0
 from cuberamsey import (
     Color,
-    Coloring,
     Embedding,
     SearchOutcome,
     load_coloring,
@@ -52,15 +51,6 @@ def fake_find_copy(monkeypatch, statuses=()):
 
     monkeypatch.setattr(cli, "find_copy", fake)
     return calls
-
-
-def tampered_c0(n):
-    """c0 with {1,2,3,4,5} painted red: at n = 4 it misses the pair {7,8},
-    so Red is not restrictive, yet neither class holds a copy of 2^[4]."""
-    c = make_c0(n)
-    red = c.red.copy()
-    red[31] = True
-    return Coloring(c.space, red, scheme="tampered")
 
 
 @pytest.fixture

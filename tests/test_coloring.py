@@ -193,6 +193,11 @@ class TestQRC1Format:
             c = random_coloring(m, rng, scheme=f"trial-{trial}")
             assert parse_coloring(render_coloring(c)) == c
 
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_render_matches_where_oracle(self, m):
+        c = random_coloring(m, random.Random(1600 + m), scheme=f"m{m}")
+        assert render_coloring(c) == oracles.qrc1_where(c)
+
     def test_save_load_byte_exact(self, tmp_path):
         path = tmp_path / "c.qrc1"
         for c in (make_c0(3), Coloring(CubeSpace(2), make_layered(2).red, "größe ≤ 2")):

@@ -35,6 +35,7 @@ from cuberamsey.lattice import (
     pair_count_table,
     pair_probe,
     popcount_table,
+    profile_table,
 )
 
 masks_over = lambda m: st.integers(min_value=0, max_value=(1 << m) - 1)
@@ -277,6 +278,34 @@ class TestTables:
         assert popcount_table(6) is popcount_table(6)
 
 
+class TestProfileTable:
+    @pytest.mark.parametrize("m", range(2, 17, 2))
+    def test_matches_table_composition(self, m):
+        n = m // 2
+        sizes, pairs, odd = popcount_table(m), pair_count_table(m), odd_sum_table(m)
+        rules = [
+            lambda size, pairs, odd: (size == n) & odd,
+            lambda size, pairs, odd: (size >= (n + 1) // 2) & (size < n) & (pairs == 0),
+            lambda size, pairs, odd: size > n + n // 2,
+            lambda size, pairs, odd: (size + pairs) % 3 == 1,
+            lambda size, pairs, odd: ~odd & (pairs == n // 2),
+        ]
+        for rule in rules:
+            got = profile_table(m, rule)
+            assert got.dtype == bool and got.shape == (1 << m,)
+            assert not got.flags.writeable
+            assert np.array_equal(got, rule(sizes, pairs, odd))
+        # The missed-pair count is n - size + pairs.
+        missed = missed_count_table(m)
+        for k in range(n + 1):
+            got = profile_table(m, lambda size, pairs, odd: n - size + pairs == k)
+            assert np.array_equal(got, missed == k), k
+
+    def test_needs_even_ground_set(self):
+        with pytest.raises(ValueError):
+            profile_table(5, lambda size, pairs, odd: size > 2)
+
+
 class TestMemoryGuard:
     def raises_without_allocating(self, m, builder=index_table):
         tracemalloc.start()
@@ -327,6 +356,45 @@ class TestMemoryGuard:
         )
         monkeypatch.setattr(lattice, "physical_memory", lambda: need)
         assert len(builder.__wrapped__(10)) == 1 << 10
+
+    def test_profile_table_is_refused(self, monkeypatch):
+        rule = lambda size, pairs, odd: size > 0
+
+        def build(m):
+            return profile_table(m, rule)
+
+        build.__wrapped__ = build  # no cache to get past
+        need = TABLE_BYTES_PER_SUBSET << 32
+        if lattice.physical_memory() < need:
+            message = self.raises_without_allocating(32, build)
+            assert f"dense tables over 2^[32] need about {need} bytes" in message
+        need = TABLE_BYTES_PER_SUBSET << 10
+        monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
+        message = self.raises_without_allocating(10, build)
+        assert message == (
+            f"dense tables over 2^[10] need about {need} bytes, "
+            f"more than the {need - 1} bytes of physical memory"
+        )
+        monkeypatch.setattr(lattice, "physical_memory", lambda: need)
+        assert np.count_nonzero(profile_table(10, rule)) == (1 << 10) - 1
+
+    @pytest.mark.parametrize("limit", ["1048576\n", "max\n", None, "garbage\n"])
+    def test_cgroup_limit_bounds_physical_memory(self, monkeypatch, tmp_path, limit):
+        host = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        path = tmp_path / "memory.max"
+        if limit is not None:
+            path.write_text(limit)
+        monkeypatch.setattr(lattice, "CGROUP_MEMORY_MAX", str(path))
+        want = min(host, 1 << 20) if limit == "1048576\n" else host
+        assert lattice.physical_memory() == want
+
+    def test_cgroup_limit_refuses_tables(self, monkeypatch, tmp_path):
+        need = TABLE_BYTES_PER_SUBSET << 16
+        path = tmp_path / "memory.max"
+        path.write_text(f"{need - 1}\n")
+        monkeypatch.setattr(lattice, "CGROUP_MEMORY_MAX", str(path))
+        message = self.raises_without_allocating(16)
+        assert message.endswith(f"more than the {need - 1} bytes of physical memory")
 
     def test_physical_memory_is_read_from_the_os(self):
         assert lattice.physical_memory() > TABLE_BYTES_PER_SUBSET << 24

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from oracles import violates_flip_pair
-from conftest import random_family
+from conftest import random_family, tampered_c0
 from cuberamsey import (
     Color,
     CubeSpace,
@@ -239,6 +239,37 @@ class TestAgainstLiteralOracle:
                 assert violates_flip_pair(s1, s2, n)
                 assert s1.bits in members and s2.bits in members
         assert seen > 10  # random families of this density do fail
+
+
+class TestAgainstTableChecks:
+    """The band checks on profile tables against the checks over the dense
+    per-subset tables that they replace."""
+
+    CHECKS = [
+        (is_pair_enforcing, oracles.pair_enforcing_tables),
+        (is_miss_forbidding, oracles.miss_forbidding_tables),
+        (is_not_too_high, oracles.not_too_high_tables),
+    ]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_reports(self, n):
+        c0 = make_c0(n)
+        families = [
+            c0.color_class(Color.RED),
+            dual_coloring(c0).color_class(Color.RED),
+            c0.color_class(Color.BLUE),
+        ]
+        if n >= 3:  # tampered_c0 paints the set {1,...,5} red
+            families.append(tampered_c0(n).color_class(Color.RED))
+        rng = random.Random(1200 + n)
+        families += [random_family(2 * n, rng, density=rng.uniform(0.05, 0.95)) for _ in range(4)]
+        failed = 0
+        for fam in families:
+            for check, oracle in self.CHECKS:
+                report = check(fam, n)
+                assert report == oracle(fam, n), check.__name__
+                failed += not report.holds
+        assert failed > 0
 
 
 class TestRestrictive:

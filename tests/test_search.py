@@ -361,7 +361,7 @@ class TestTargetSymmetry:
             assert find_copy(fam, 4).status == "absent"
             assert find_copy(fam, 4, mode="count").count == 0
             assert count_distinct_copies(fam, 4) == (0, 0)
-        monkeypatch.setattr(search, "_family_swaps", lambda family: [])
+        monkeypatch.setattr(search, "_family_swaps", lambda family, deadline=None: [])
         for color, nodes in ((Color.RED, 36151), (Color.BLUE, 86132)):
             out = find_copy(c0.color_class(color), 4)
             assert out.status == "absent"
@@ -379,6 +379,30 @@ class TestTargetSymmetry:
             members = set(members_of(fam))
             for perm in perms:
                 assert {oracles.permute_elements(x, perm) for x in members} == members
+
+    def test_swaps_match_member_gather(self):
+        families = []
+        for n in range(1, 9):
+            c0 = make_c0(n)
+            families += [c0.color_class(Color.RED), c0.color_class(Color.BLUE)]
+        rng = random.Random(1700)
+        for _ in range(40):
+            m = rng.randint(1, 12)
+            # Both sides of the member-count threshold between the two forms.
+            fam = random_family(m, rng, density=rng.choice([0.01, 0.05, 0.5, 0.95]))
+            families.append(fam)
+            # The union with its image under a swap is closed under that swap.
+            swaps = search._candidate_swaps(m)
+            if swaps:
+                idx = np.arange(1 << m, dtype=np.uint32)
+                image = fam.mask[search._swap(idx, *rng.choice(swaps))]
+                families.append(SetFamily(fam.space, fam.mask | image))
+        kept = 0
+        for fam in families:
+            swaps = search._family_swaps(fam)
+            assert swaps == oracles.family_swaps_members(fam)
+            kept += len(swaps)
+        assert kept > len(families)
 
     def test_kept_generators_are_automorphisms(self):
         c0 = make_c0(4).color_class(Color.RED)
@@ -586,6 +610,39 @@ class TestBudget:
         assert out.status == "inconclusive"
         assert out.nodes_explored == 0
         assert time.perf_counter() - start < 2.0
+
+    def test_deadline_is_checked_between_swaps(self, monkeypatch):
+        fam = make_c0(4).color_class(Color.RED)
+        clock = iter(range(100))
+        monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
+        # Readings 0 and 1 let two swaps be checked; reading 2 is past 1.5.
+        with pytest.raises(search._DeadlineHit):
+            search._family_swaps(fam, 1.5)
+        assert next(clock) == 3
+
+    def test_deadline_hit_in_swap_checks_searches_nothing(self, monkeypatch):
+        def hit(family, deadline=None):
+            raise search._DeadlineHit
+
+        def no_engine(*args):
+            raise AssertionError("no search may start")
+
+        monkeypatch.setattr(search, "_family_swaps", hit)
+        monkeypatch.setattr(search, "_Engine", no_engine)
+        out = find_copy(make_c0(4).color_class(Color.RED), 4, budget_ms=1000.0)
+        assert out.status == "inconclusive"
+        assert out.nodes_explored == 0
+        assert set(out.prune_hits.values()) == {0}
+
+    def test_budget_holds_in_swap_checks(self):
+        # Every set of [22] with at most 11 elements: 2.4 M members, which
+        # the swap checks read as a 4 MB table, one swap at a time.
+        sizes = np.bitwise_count(np.arange(1 << 22, dtype=np.uint32))
+        fam = SetFamily(CubeSpace(22), sizes <= 11)
+        start = time.perf_counter()
+        out = find_copy(fam, 2, budget_ms=10.0)
+        assert out.status == "inconclusive"
+        assert time.perf_counter() - start < 0.4
 
     def test_dense_family_budget_and_memory(self):
         # Every set of [20] with at most 3 elements, and [20] itself.  The
