@@ -116,8 +116,8 @@ class Coloring:
         return Color.RED if self.red[bits] else Color.BLUE
 
     def color_class(self, color: Color) -> SetFamily:
-        mask = self.red if color is Color.RED else ~self.red
-        return SetFamily(self.space, mask.copy())
+        """The members of one class.  Red shares the read-only table."""
+        return SetFamily(self.space, self.red if color is Color.RED else ~self.red)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):
@@ -168,9 +168,15 @@ def dual_coloring(c: Coloring) -> Coloring:
     """The coloring S -> flip(c(complement(S))); an involution.
 
     Complementation reverses the index order because the full mask is all
-    ones, so the assignment is the reversed, negated table.
+    ones, so the assignment is the reversed, negated table.  From eight
+    entries on it is taken as 64-bit words: reversing the words and the
+    bytes of each reverses the entries, and one XOR negates eight.
     """
-    red = ~c.red[::-1]
+    if c.red.size % 8 == 0 and c.red.flags.c_contiguous:
+        words = c.red.view(np.uint64)[::-1].byteswap()
+        red = np.bitwise_xor(words, np.uint64(0x0101010101010101), out=words).view(bool)
+    else:
+        red = ~c.red[::-1]
     scheme = c.scheme[5:-1] if c.scheme.startswith("dual(") and c.scheme.endswith(")") else f"dual({c.scheme})"
     return Coloring(c.space, red, scheme=scheme)
 
@@ -191,8 +197,8 @@ def _qrc1_parts(c: Coloring) -> tuple[str, np.ndarray]:
     """The QRC1 header and the payload as one uint8 buffer: the payload
     rows (64 chars each) plus a newline column.  The characters are
     written in place: "B" + 16 for red is "R"."""
-    width = min(_WRAP, c.red.size)
-    lines = np.empty((c.red.size // width, width + 1), dtype=np.uint8)
+    width, rows = _payload_shape(c.space.m)
+    lines = np.empty((rows, width + 1), dtype=np.uint8)
     lines[:, -1] = ord("\n")
     body = lines[:, :-1]
     np.multiply(c.red.view(np.uint8).reshape(-1, width), np.uint8(ord("R") - ord("B")), out=body)
@@ -215,10 +221,56 @@ def save_coloring(c: Coloring, path) -> None:
         fh.write(lines.data)
 
 
-def parse_coloring(text: str) -> Coloring:
-    """Read QRC1 text.  A malformed text raises the first error in file
-    order, at its 1-based line and column; columns count characters."""
+def parse_coloring(text: str | bytes) -> Coloring:
+    """Read QRC1 text, given as str or as its UTF-8 bytes.  A malformed
+    text raises the first error in file order, at its 1-based line and
+    column; columns count characters.  Bytes that are not UTF-8 raise
+    UnicodeDecodeError at their offset, before any format error, as
+    reading them as UTF-8 text would.
+
+    The three header lines are decoded; the payload is checked as a uint8
+    view of the bytes.  Only a malformed input is decoded whole, to find
+    its first error."""
+    if isinstance(text, str):
+        # Lone surrogates pass through both ways, so the header reads as
+        # the str's own lines.
+        data, errors = text.encode("utf-8", "surrogatepass"), "surrogatepass"
+    else:
+        data, errors = text, "strict"
+    try:
+        lines, start = _header_lines(data, errors)
+        m, scheme = _read_header(lines)
+    except (UnicodeDecodeError, ColoringFormatError):
+        pass
+    else:
+        red = _payload_red(data, start, m)
+        if red is not None:
+            return Coloring(CubeSpace(m), red, scheme=scheme)
+    if not isinstance(text, str):
+        text = data.decode("utf-8")  # invalid UTF-8 raises here, at its offset
     lines = text.split("\n", 3)
+    m, _ = _read_header(lines)
+    raise _payload_error(lines[3] if len(lines) > 3 else "", m)
+
+
+def _header_lines(data: bytes, errors: str) -> tuple[list[str], int]:
+    """The first three lines of ``data`` (fewer when it has fewer
+    newlines; the last then runs to the end), decoded as UTF-8, and the
+    offset of the payload after them."""
+    lines, start = [], 0
+    for _ in range(3):
+        end = data.find(b"\n", start)
+        if end < 0:
+            lines.append(data[start:].decode("utf-8", errors))
+            return lines, len(data)
+        lines.append(data[start:end].decode("utf-8", errors))
+        start = end + 1
+    return lines, start
+
+
+def _read_header(lines: list[str]) -> tuple[int, str]:
+    """The ground-set size and scheme label of the header lines
+    ``lines[:3]``; raises the first header error."""
     if lines[0] != "QRC1":
         raise ColoringFormatError("expected QRC1 magic", 1, 1)
     if len(lines) < 2 or not lines[1].startswith("m="):
@@ -234,28 +286,41 @@ def parse_coloring(text: str) -> Coloring:
         raise ColoringFormatError(f"ground-set size {m} outside 1..{MAX_GROUND_SIZE}", 2, 3)
     if len(lines) < 3 or not lines[2].startswith("scheme="):
         raise ColoringFormatError("expected scheme=<label>", 3, 1)
-    scheme = lines[2][7:]
-
-    payload = lines[3] if len(lines) > 3 else ""
-    expected = 1 << m
-    width = min(_WRAP, expected)
-    rows = expected // width
-    # One byte per character: a non-ASCII character becomes "?", which
-    # fails the R/B test as the character itself would.
-    raw = payload.encode("ascii", "replace")
-    if len(raw) in (rows * (width + 1), rows * (width + 1) - 1):  # final newline optional
-        body = np.ndarray((rows, width), np.uint8, raw, strides=(width + 1, 1))
-        ends = np.frombuffer(raw, np.uint8)[width :: width + 1]
-        red = body == ord("R")
-        if (ends == ord("\n")).all() and (red | (body == ord("B"))).all():
-            return Coloring(CubeSpace(m), red.reshape(-1), scheme=scheme)
-    raise _payload_error(payload, width, rows)
+    return m, lines[2][7:]
 
 
-def _payload_error(payload: str, width: int, rows: int) -> ColoringFormatError:
+def _payload_shape(m: int) -> tuple[int, int]:
+    """Characters per payload line and the number of lines for 2^m entries."""
+    width = min(_WRAP, 1 << m)
+    return width, (1 << m) // width
+
+
+def _payload_red(data: bytes, start: int, m: int) -> np.ndarray | None:
+    """The red table of a well-formed payload at ``data[start:]``, checked
+    without a copy; None when it is malformed.  It must be ``rows`` lines
+    of ``width`` R/B characters, each followed by a newline but possibly
+    the last."""
+    width, rows = _payload_shape(m)
+    if len(data) - start not in (rows * (width + 1), rows * (width + 1) - 1):
+        return None
+    flat = np.frombuffer(data, np.uint8, offset=start)
+    body = np.ndarray((rows, width), np.uint8, data, start, (width + 1, 1))
+    red = body == ord("R")
+    # The newline columns hold neither letter, so the payload's B count is
+    # the body's.
+    if not (flat[width :: width + 1] == ord("\n")).all():
+        return None
+    if np.count_nonzero(red) + np.count_nonzero(flat == ord("B")) != red.size:
+        return None
+    return red.reshape(-1)
+
+
+def _payload_error(payload: str, m: int) -> ColoringFormatError:
     """The first error in a payload that is not ``rows`` lines of ``width``
-    R/B characters.  Lines before the first bad one hold ``width`` entries
-    each, so that line is read by the per-character rules alone."""
+    R/B characters (``_payload_shape``).  Lines before the first bad one
+    hold ``width`` entries each, so that line is read by the per-character
+    rules alone."""
+    width, rows = _payload_shape(m)
     lines = payload.split("\n")
     if lines[-1] == "":
         lines.pop()  # trailing newline
@@ -280,6 +345,7 @@ def _payload_error(payload: str, width: int, rows: int) -> ColoringFormatError:
 
 
 def load_coloring(path) -> Coloring:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    return parse_coloring(text)
+    """Read a QRC1 file, as bytes (see ``parse_coloring``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_coloring(data)

@@ -38,8 +38,8 @@ from .lattice import CapacityError
 
 MAX_FLIP_N = 20
 
-# Edges formatted per ``%`` call in ``export_edges``: bounds the Python ints
-# alive at once (about 2 x 10^7 of them for the whole n = 20 graph).
+# Edges formatted per chunk in ``export_edges``: bounds the text alive at
+# once (the whole n = 20 edge list is 273 MB).
 _EXPORT_CHUNK = 1 << 16
 
 
@@ -86,33 +86,45 @@ def build_flip_graph(n: int) -> FlipGraph:
         raise CapacityError(f"flip graph supports 1 <= n <= {MAX_FLIP_N}, got {n}")
     choice = np.arange(1 << n, dtype=np.int32)
     vertices = np.full(1 << n, _odd_elements_mask(n), dtype=np.int64)
-    up = np.empty((1 << n, n), dtype=bool)
     for i in range(n):
-        bit = choice >> i & 1
-        vertices += bit.astype(np.int64) << (2 * i)
-        up[:, i] = bit == 0
-    row, pair = np.nonzero(up)
-    ends = np.empty((row.size, 2), dtype=np.int32)
-    ends[:, 0] = row
-    ends[:, 1] = row + (1 << pair)
+        vertices += (choice & (1 << i)).astype(np.int64) << i
+    # Row r has one upward edge per clear bit i of its choice, to r + 2^i,
+    # and its edges are consecutive, i ascending, from start[r] on.
+    count = n - np.bitwise_count(choice).astype(np.int32)
+    start = np.zeros(1 << n, dtype=np.int32)
+    np.cumsum(count[:-1], out=start[1:])
+    ends = np.empty((n << (n - 1), 2), dtype=np.int32)
+    ends[:, 0] = np.repeat(choice, count)
+    half = np.arange(1 << (n - 1), dtype=np.int32)
+    for i in range(n):
+        low = (1 << i) - 1
+        rows = (half & ~low) << 1 | (half & low)  # the rows with bit i clear
+        below = i - np.bitwise_count(rows & low)  # their clear bits below i
+        ends[start[rows] + below, 1] = rows | (1 << i)
     edges = vertices[ends]
     return FlipGraph(n, vertices, edges, ends)
+
+
+def _adjacency(count: int, keys: np.ndarray, values: np.ndarray):
+    """The directed edges key -> value grouped by key: offsets into the
+    array of values.  Keys already in order are used as they are; the
+    search needs no order within a group."""
+    offset = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=count), out=offset[1:])
+    if np.all(keys[:-1] <= keys[1:]):
+        return offset, values
+    return offset, values[np.argsort(keys)]
 
 
 def _levels(count: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
     """Breadth-first level of each vertex index within its component, and
     the number of components, over the undirected edges ``ends`` (pairs of
-    vertex indices).  Each component is searched from its lowest index."""
-    src = np.concatenate((ends[:, 0], ends[:, 1]))
-    offset = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=count), out=offset[1:])
-    # The first half of src is sorted already, which a merge sort exploits.
-    order = np.argsort(src, kind="stable")
-    del src  # before the reversed copy: one edge-sized array fewer at the peak
-    adjacent = np.concatenate((ends[:, 1], ends[:, 0]))[order]
+    vertex indices).  Each component is searched from its lowest index.
 
+    Each edge is followed from either end through its own grouping by
+    that end; the first ends of sorted edges need no sort."""
+    sides = (_adjacency(count, ends[:, 0], ends[:, 1]), _adjacency(count, ends[:, 1], ends[:, 0]))
     level = np.full(count, -1, dtype=np.int64)
-    slot = np.empty(count, dtype=np.int64)
     components = 0
     unvisited = np.arange(count)
     while unvisited.size:
@@ -120,16 +132,13 @@ def _levels(count: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
         frontier = unvisited[:1]
         level[frontier] = depth = 0
         while frontier.size:
-            lo = offset[frontier]
-            sizes = offset[frontier + 1] - lo
-            first = np.cumsum(sizes) - sizes
-            reached = adjacent[np.repeat(lo - first, sizes) + np.arange(sizes.sum())]
-            fresh = reached[level[reached] < 0]
-            # Keep one copy of each index: the one whose rank survives in its
-            # slot after the scatter.
-            rank = np.arange(fresh.size)
-            slot[fresh] = rank
-            frontier = fresh[slot[fresh] == rank]
+            reached = np.zeros(count, dtype=bool)
+            for offset, adjacent in sides:
+                lo = offset[frontier]
+                sizes = offset[frontier + 1] - lo
+                first = np.cumsum(sizes) - sizes
+                reached[adjacent[np.repeat(lo - first, sizes) + np.arange(sizes.sum())]] = True
+            frontier = np.flatnonzero(reached & (level < 0))
             depth += 1
             level[frontier] = depth
         unvisited = unvisited[level[unvisited] < 0]
@@ -157,10 +166,34 @@ def check_bipartition(graph: FlipGraph) -> FlipGraphReport:
     )
 
 
+def _vertex_text(vertices: np.ndarray) -> np.ndarray:
+    """Two fixed-width ASCII rows per vertex value, interleaved: row 2i is
+    value i's decimal digits and a space, row 2i + 1 its digits and a
+    newline.  Digits are right-aligned; the slots left of them hold 0, a
+    byte that no row keeps."""
+    width = len(str(int(vertices.max()))) if vertices.size else 1
+    rows = np.zeros((vertices.size, 2, width + 1), dtype=np.uint8)
+    rows[:, 0, width] = ord(" ")
+    rows[:, 1, width] = ord("\n")
+    rest = vertices
+    for col in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        # A value's leading zero is padding, except the one digit of 0.
+        shown = (rest > 0) | (digit > 0) | (col == width - 1)
+        rows[:, :, col] = np.where(shown, digit + ord("0"), 0)[:, None]
+    return rows.reshape(-1, width + 1)
+
+
 def export_edges(graph: FlipGraph) -> Iterator[str]:
     """The edge list as consecutive chunks of text: one edge per line, the
-    two encoded vertex values ascending."""
-    edges = graph.edges
-    for lo in range(0, len(edges), _EXPORT_CHUNK):
-        block = edges[lo : lo + _EXPORT_CHUNK]
-        yield "%d %d\n" * len(block) % tuple(block.ravel().tolist())
+    two encoded vertex values ascending.
+
+    Each edge gathers two fixed-width rows of ``_vertex_text`` (one item
+    copy each through a ``np.void`` view), and one boolean compress drops
+    the padding."""
+    text = _vertex_text(graph.vertices)
+    rows = text.view(np.dtype((np.void, text.shape[1]))).ravel()
+    side = np.array([0, 1], dtype=np.int32)
+    for lo in range(0, len(graph.ends), _EXPORT_CHUNK):
+        block = rows[graph.ends[lo : lo + _EXPORT_CHUNK] * 2 + side].view(np.uint8).ravel()
+        yield block[block != 0].tobytes().decode("ascii")

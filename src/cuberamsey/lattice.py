@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -122,14 +122,6 @@ def _require_member(s: ElementSet, space: CubeSpace) -> None:
         raise ValueError(f"set over [{s.m}] used in a space over [{space.m}]")
 
 
-def pair_index(a: int, space: CubeSpace) -> int:
-    """The pair that element a belongs to: ceil(a/2)."""
-    n = _require_paired(space)
-    if not 1 <= a <= 2 * n:
-        raise ValueError(f"element {a} outside 1..{2 * n}")
-    return (a + 1) // 2
-
-
 def partner(a: int, space: CubeSpace) -> int:
     """The other element of a's pair."""
     n = _require_paired(space)
@@ -138,76 +130,12 @@ def partner(a: int, space: CubeSpace) -> int:
     return a - 1 if a % 2 == 0 else a + 1
 
 
-# Mask-level primitives.  These work on raw encoded values so that hot loops
-# and numpy code can share one definition with the ElementSet API.
-
-def pair_probe(bits: int) -> int:
-    """Bit 2i-2 set iff pair i is fully contained in the mask."""
-    return bits & (bits >> 1) & _EVEN_POSITIONS
-
-
-def hit_probe(bits: int) -> int:
-    """Bit 2i-2 set iff the mask contains at least one element of pair i."""
-    return (bits | (bits >> 1)) & _EVEN_POSITIONS
-
-
-def count_pairs_singles(s: ElementSet, space: CubeSpace) -> tuple[int, int]:
-    """(number of complete pairs in s, number of elements whose partner is absent)."""
-    _require_paired(space)
-    _require_member(s, space)
-    pairs = pair_probe(s.bits).bit_count()
-    return pairs, s.size - 2 * pairs
-
-
-def missed_pairs(s: ElementSet, space: CubeSpace) -> list[int]:
-    """Indices of pairs with neither element in s, ascending."""
-    n = _require_paired(space)
-    _require_member(s, space)
-    hit = hit_probe(s.bits)
-    return [i + 1 for i in range(n) if not hit >> (2 * i) & 1]
-
-
 def complement(s: ElementSet, space: CubeSpace) -> ElementSet:
     _require_member(s, space)
     return ElementSet(space.full_mask ^ s.bits, space.m)
 
 
-def element_sum_parity(s: ElementSet) -> str:
-    """Parity of the sum of the elements of s: "even" or "odd".
-
-    Only odd-valued elements contribute mod 2, and those sit at the even
-    bit positions.
-    """
-    return "odd" if (s.bits & _EVEN_POSITIONS).bit_count() & 1 else "even"
-
-
-def layer_masks(m: int, k: int) -> Iterator[int]:
-    """All masks of popcount k over [m] in strictly increasing value order.
-
-    Uses the classic same-popcount successor trick, which produces the
-    ascending order directly.
-    """
-    if not 0 <= k <= m:
-        raise ValueError(f"layer {k} outside 0..{m}")
-    if k == 0:
-        yield 0
-        return
-    v = (1 << k) - 1
-    limit = 1 << m
-    while v < limit:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
-
-
-def iterate_layer(space: CubeSpace, k: int) -> Iterator[ElementSet]:
-    """All size-k subsets of the space, in increasing encoded-value order."""
-    for bits in layer_masks(space.m, k):
-        yield ElementSet(bits, space.m)
-
-
-# Vectorized counterparts over dense per-subset tables (index = encoded value).
+# Dense per-subset tables (index = encoded value).
 #
 # Every table holds a quantity that adds up (set size, pair counts) or XORs
 # up (odd-element parity) over disjoint bit ranges.  Split at an even bit k,
@@ -334,10 +262,11 @@ def _profile_classes(idx: np.ndarray, width: int):
 
 
 def profile_table(m: int, rule) -> np.ndarray:
-    """The read-only bool table over 2^[m], m even, of ``rule(size, pairs,
-    odd)``: a predicate of a set's size, its number of complete pairs and
+    """The read-only table over 2^[m], m even, of ``rule(size, pairs,
+    odd)``: a function of a set's size, its number of complete pairs and
     whether its element sum is odd, evaluated elementwise on int, int and
-    bool arrays.  (The set misses m/2 - size + pairs pairs.)
+    bool arrays.  The table keeps the dtype of the rule's result.  (The set
+    misses m/2 - size + pairs pairs.)
 
     Split as in ``_split_table``, the three quantities add up (the parity
     by XOR) over the two halves, so the rule is evaluated once per pair of
@@ -351,6 +280,6 @@ def profile_table(m: int, rule) -> np.ndarray:
     (size_h, pairs_h, odd_h), high = _profile_classes(index_table(m - k), m - k)
     (size_l, pairs_l, odd_l), low = _profile_classes(index_table(k), k)
     rows = rule(size_h[:, None] + size_l, pairs_h[:, None] + pairs_l, odd_h[:, None] ^ odd_l)
-    table = rows.astype(bool, copy=False)[:, low].take(high, axis=0).reshape(-1)
+    table = rows[:, low].take(high, axis=0).reshape(-1)
     table.flags.writeable = False
     return table

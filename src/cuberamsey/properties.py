@@ -1,6 +1,5 @@
 """Decision procedures for the four structural properties of set families
-over a paired ground set [2n], plus the deterministic completion of a member
-to a maximal-top candidate.
+over a paired ground set [2n].
 
 Every checker returns a report; a failing report always carries a witness
 that can be re-verified against the property definition directly.
@@ -9,13 +8,14 @@ that can be re-verified against the property definition directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .coloring import SetFamily
 from .flipgraph import build_flip_graph
-from .lattice import ElementSet, hit_probe, pair_probe, profile_table
+from .lattice import ElementSet, profile_table
 
 # The per-subset table builders stay attributes of this module, where the
 # tracer of perfbench/traced.py wraps them, though the checks no longer
@@ -70,52 +70,72 @@ def _require_over_2n(family: SetFamily, n: int) -> int:
     return family.space.m
 
 
-def _band_report(name: str, bad: np.ndarray, m: int, checked: int) -> PropertyReport:
-    """The report of a property whose violating members are ``bad``; the
-    witness is the lowest one."""
-    first = int(np.argmax(bad))
-    if bad[first]:
-        return PropertyReport(name, False, ElementSet(first, m), checked)
-    return PropertyReport(name, True, None, checked)
-
-
 def _sizes_between(m: int, lo: int, hi: int) -> int:
     """How many subsets of [m] have lo..hi elements."""
     return sum(comb(m, k) for k in range(lo, hi + 1))
 
 
+# The band properties in report order; property i forbids the members
+# marked i + 1 in ``_band_table``.
+_BAND_NAMES = ("pair-enforcing", "miss-forbidding", "not-too-high")
+
+
+@lru_cache(maxsize=8)
+def _band_table(n: int) -> np.ndarray:
+    """The read-only uint8 table over 2^[2n] of the band property each set
+    violates as a member: 1 for pair-enforcing (ceil(n/2) <= |S| < n and no
+    complete pair), 2 for miss-forbidding (n < |S| <= n + n//2 and a missed
+    pair), 3 for not-too-high (|S| > n + n//2), 0 for none.  The three
+    bands are disjoint by size, so one value per set holds them all."""
+    low, high = (n + 1) // 2, n + n // 2
+
+    def band(size, pairs, odd):
+        value = np.zeros(size.shape, dtype=np.uint8)
+        value[(size >= low) & (size < n) & (pairs == 0)] = 1
+        value[(size > n) & (size <= high) & (n - size + pairs > 0)] = 2
+        value[size > high] = 3
+        return value
+
+    return profile_table(2 * n, band)
+
+
+def _band_reports(family: SetFamily, n: int) -> tuple[PropertyReport, ...]:
+    """The reports of the three band properties, from one pass over the
+    family: each witness is the lowest member its property forbids."""
+    m = _require_over_2n(family, n)
+    band = _band_table(n)
+    # Both operands uint8: a bool and a uint8 table would take numpy's
+    # slower casting loop.
+    hits = np.flatnonzero(np.logical_and(family.mask.view(np.uint8), band))
+    values = band[hits]
+    checked = (
+        _sizes_between(m, (n + 1) // 2, n - 1),
+        _sizes_between(m, n + 1, n + n // 2),
+        family.size,
+    )
+    reports = []
+    for value, (name, count) in enumerate(zip(_BAND_NAMES, checked), start=1):
+        own = np.flatnonzero(values == value)
+        if own.size:
+            reports.append(PropertyReport(name, False, ElementSet(int(hits[own[0]]), m), count))
+        else:
+            reports.append(PropertyReport(name, True, None, count))
+    return tuple(reports)
+
+
 def is_pair_enforcing(family: SetFamily, n: int) -> PropertyReport:
     """Members with ceil(n/2) <= |S| < n must contain a complete pair."""
-    m = _require_over_2n(family, n)
-    low = (n + 1) // 2
-
-    def bad(size, pairs, odd):
-        return (size >= low) & (size < n) & (pairs == 0)
-
-    return _band_report(
-        "pair-enforcing", family.mask & profile_table(m, bad), m, _sizes_between(m, low, n - 1)
-    )
+    return _band_reports(family, n)[0]
 
 
 def is_miss_forbidding(family: SetFamily, n: int) -> PropertyReport:
     """Members with n < |S| <= n + n//2 must not miss any pair."""
-    m = _require_over_2n(family, n)
-    high = n + n // 2
-
-    def bad(size, pairs, odd):
-        return (size > n) & (size <= high) & (n - size + pairs > 0)
-
-    return _band_report(
-        "miss-forbidding", family.mask & profile_table(m, bad), m, _sizes_between(m, n + 1, high)
-    )
+    return _band_reports(family, n)[1]
 
 
 def is_not_too_high(family: SetFamily, n: int) -> PropertyReport:
     """No member larger than n + n//2."""
-    m = _require_over_2n(family, n)
-    high = n + n // 2
-    bad = family.mask & profile_table(m, lambda size, pairs, odd: size > high)
-    return _band_report("not-too-high", bad, m, family.size)
+    return _band_reports(family, n)[2]
 
 
 def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:
@@ -143,54 +163,6 @@ def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:
 
 def is_restrictive(family: SetFamily, n: int) -> RestrictiveReport:
     """All four properties, checked in fixed order."""
-    reports = (
-        is_pair_enforcing(family, n),
-        is_miss_forbidding(family, n),
-        is_not_too_high(family, n),
-        is_flip_susceptible(family, n),
-    )
+    reports = (*_band_reports(family, n), is_flip_susceptible(family, n))
     return RestrictiveReport(all(r.holds for r in reports), reports)
 
-
-def extend_to_maximal(family: SetFamily, s: ElementSet, n: int) -> ElementSet:
-    """Grow a member of a restrictive family to a superset of size n + n//2
-    with exactly n//2 pairs and no missed pair.
-
-    Deterministic choice rule: complete existing singles to pairs in
-    ascending pair-index order until n//2 pairs exist; if singles run out,
-    add whole fresh pairs lowest index first; finally add the lower element
-    of every still-missed pair.  Raises if the input already has more than
-    n//2 pairs, which cannot happen for a member of a restrictive family.
-    """
-    _require_over_2n(family, n)
-    if s.m != family.space.m:
-        raise ValueError(f"set over [{s.m}] but family is over [{family.space.m}]")
-    if not family.contains(s):
-        raise ValueError(f"{s} is not a member of the family")
-
-    target_pairs = n // 2
-    bits = s.bits
-    have = pair_probe(bits).bit_count()
-    if have > target_pairs:
-        raise ValueError(f"{s} has {have} pairs, more than {target_pairs}")
-
-    for i in range(n):
-        if have == target_pairs:
-            break
-        probe = 1 << (2 * i)
-        # A single in pair i+1: hit but not complete.
-        if hit_probe(bits) & probe and not pair_probe(bits) & probe:
-            bits |= 3 << (2 * i)
-            have += 1
-    for i in range(n):
-        if have == target_pairs:
-            break
-        probe = 1 << (2 * i)
-        if not hit_probe(bits) & probe:
-            bits |= 3 << (2 * i)
-            have += 1
-    still_missed = hit_probe(bits)
-    for i in range(n):
-        if not still_missed >> (2 * i) & 1:
-            bits |= 1 << (2 * i)
-    return ElementSet(bits, s.m)

@@ -639,20 +639,3 @@ def find_copy(
     count = count if mode == "count" and not hit else None
     return SearchOutcome(status, None, count, nodes, hits, elapsed)
 
-
-def count_distinct_copies(family: SetFamily, n: int, prune: bool = True) -> tuple[int, int]:
-    """Count embeddings as labeled maps and as distinct image families.
-
-    Every image family is the image of exactly n! embeddings, so the
-    distinct count is the labeled count divided by n!.  Proof.  Let f and g
-    be embeddings with the same image family.  Both are bijections onto it
-    that preserve inclusion both ways, so h = g^-1 o f is an automorphism
-    of the order 2^[n].  h permutes the singletons (the sets just above the
-    bottom), say by the permutation s of [n], and preserves unions (least
-    upper bounds); every set is the union of its singletons, so h(A) = s(A)
-    and f = g o s.  Conversely f o s is an embedding with f's image family
-    for each of the n! permutations s, and these maps differ, as f is
-    injective.
-    """
-    count = find_copy(family, n, "count", prune).count
-    return count, count // factorial(n)

@@ -8,6 +8,7 @@ Values frozen in the test modules were produced by these routines.
 
 from collections import deque
 from itertools import combinations, permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from cuberamsey import (
     FlipGraphReport,
     PropertyReport,
     copy_image_masks,
+    find_copy,
+    parse_coloring,
+    partner,
 )
 from cuberamsey.lattice import (
     MAX_GROUND_SIZE,
@@ -526,3 +530,130 @@ def family_swaps_members(family) -> list[tuple[int, int]]:
     return [
         g for g in _candidate_swaps(family.space.m) if family.mask[_swap(members, *g)].all()
     ]
+
+
+# Helpers that once shipped in the package with no caller there: mask-level
+# pair probes, layers, pair indices, member completion and the distinct
+# copy count.
+
+_EVEN_BITS = 0x55555555  # bits 0, 2, 4, ...: one probe position per pair
+
+
+def pair_probe(bits: int) -> int:
+    """Bit 2i-2 set iff pair i is fully contained in the mask."""
+    return bits & (bits >> 1) & _EVEN_BITS
+
+
+def hit_probe(bits: int) -> int:
+    """Bit 2i-2 set iff the mask contains at least one element of pair i."""
+    return (bits | (bits >> 1)) & _EVEN_BITS
+
+
+def pair_index(a: int, space: CubeSpace) -> int:
+    """The pair that element a belongs to: ceil(a/2).  Rejects what
+    ``partner`` rejects."""
+    partner(a, space)
+    return (a + 1) // 2
+
+
+def layer_masks(m: int, k: int):
+    """All masks of popcount k over [m] in strictly increasing value order,
+    by the same-popcount successor trick."""
+    if not 0 <= k <= m:
+        raise ValueError(f"layer {k} outside 0..{m}")
+    if k == 0:
+        yield 0
+        return
+    v = (1 << k) - 1
+    limit = 1 << m
+    while v < limit:
+        yield v
+        low = v & -v
+        ripple = v + low
+        v = ripple | (((v ^ ripple) >> 2) // low)
+
+
+def iterate_layer(space: CubeSpace, k: int):
+    """All size-k subsets of the space, in increasing encoded-value order."""
+    for bits in layer_masks(space.m, k):
+        yield ElementSet(bits, space.m)
+
+
+def extend_to_maximal(family, s: ElementSet, n: int) -> ElementSet:
+    """Grow a member of a restrictive family to a superset of size n + n//2
+    with exactly n//2 pairs and no missed pair.
+
+    Deterministic choice rule: complete existing singles to pairs in
+    ascending pair-index order until n//2 pairs exist; if singles run out,
+    add whole fresh pairs lowest index first; finally add the lower element
+    of every still-missed pair.  Raises if the input already has more than
+    n//2 pairs, which cannot happen for a member of a restrictive family.
+    """
+    if family.space.m != 2 * n:
+        raise ValueError(f"family is over [{family.space.m}] but the check needs [{2 * n}]")
+    if s.m != family.space.m:
+        raise ValueError(f"set over [{s.m}] but family is over [{family.space.m}]")
+    if not family.contains(s):
+        raise ValueError(f"{s} is not a member of the family")
+
+    target_pairs = n // 2
+    bits = s.bits
+    have = pair_probe(bits).bit_count()
+    if have > target_pairs:
+        raise ValueError(f"{s} has {have} pairs, more than {target_pairs}")
+
+    for i in range(n):
+        if have == target_pairs:
+            break
+        probe = 1 << (2 * i)
+        # A single in pair i+1: hit but not complete.
+        if hit_probe(bits) & probe and not pair_probe(bits) & probe:
+            bits |= 3 << (2 * i)
+            have += 1
+    for i in range(n):
+        if have == target_pairs:
+            break
+        probe = 1 << (2 * i)
+        if not hit_probe(bits) & probe:
+            bits |= 3 << (2 * i)
+            have += 1
+    still_missed = hit_probe(bits)
+    for i in range(n):
+        if not still_missed >> (2 * i) & 1:
+            bits |= 1 << (2 * i)
+    return ElementSet(bits, s.m)
+
+
+def count_distinct_copies(family, n: int, prune: bool = True) -> tuple[int, int]:
+    """Count embeddings as labeled maps and as distinct image families.
+
+    Every image family is the image of exactly n! embeddings, so the
+    distinct count is the labeled count divided by n!.  Proof.  Let f and g
+    be embeddings with the same image family.  Both are bijections onto it
+    that preserve inclusion both ways, so h = g^-1 o f is an automorphism
+    of the order 2^[n].  h permutes the singletons (the sets just above the
+    bottom), say by the permutation s of [n], and preserves unions (least
+    upper bounds); every set is the union of its singletons, so h(A) = s(A)
+    and f = g o s.  Conversely f o s is an embedding with f's image family
+    for each of the n! permutations s, and these maps differ, as f is
+    injective.
+    """
+    count = find_copy(family, n, "count", prune).count
+    return count, count // factorial(n)
+
+
+def export_edges_percent(graph) -> str:
+    """The edge list as it was formatted before the digit tables: the edge
+    values as Python ints, ``"%d %d\\n"`` per edge, 2^16 edges per ``%``."""
+    edges, text = graph.edges, []
+    for lo in range(0, len(edges), 1 << 16):
+        block = edges[lo : lo + (1 << 16)]
+        text.append("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
+    return "".join(text)
+
+
+def load_coloring_text(path) -> Coloring:
+    """A QRC1 file read as it was before the byte-level parse: decoded
+    whole as UTF-8 text (no newline translation), then parsed as str."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return parse_coloring(fh.read())

@@ -16,7 +16,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from oracles import naive_count_embeddings
+from oracles import extend_to_maximal, naive_count_embeddings
 from conftest import random_coloring, random_family
 from cuberamsey import (
     Color,
@@ -26,17 +26,16 @@ from cuberamsey import (
     check_bipartition,
     dual_coloring,
     exists_good_coloring,
-    extend_to_maximal,
     find_copy,
     is_restrictive,
     make_c0,
     make_layered,
-    missed_pairs,
     parse_coloring,
     ramsey_bruteforce,
     render_coloring,
     save_coloring,
 )
+from cuberamsey import properties
 from cuberamsey.cli import EXIT_FOUND, EXIT_INCONCLUSIVE, EXIT_OK, main
 from cuberamsey.lattice import (
     missed_count_table,
@@ -53,6 +52,7 @@ FOUND_POOL: list = []
 def _clear_big_tables():
     for table in (popcount_table, pair_count_table, missed_count_table, odd_sum_table):
         table.cache_clear()
+    properties._band_table.cache_clear()
 
 
 def test_criterion_01_restrictive_construction_n4_to_n10_under_5s():
@@ -249,13 +249,12 @@ def test_criterion_08_flip_graph_invariants_to_n10_under_10s():
 def test_criterion_09_extension_sweep_n4_n5_n6():
     for n in (4, 5, 6):
         family = make_c0(n).color_class(Color.RED)
-        space = family.space
         seen_tops: set[int] = set()
         for s in family.iter_sets():
             ext = extend_to_maximal(family, s, n)
             assert ext.size == n + n // 2, (n, str(s))
             assert oracles.pairs_and_singles(ext.bits, n)[0] == n // 2
-            assert missed_pairs(ext, space) == []
+            assert oracles.missed(ext.bits, n) == []
             assert ext.bits & s.bits == s.bits
             if ext.bits in seen_tops:
                 continue  # same augmented family as an earlier member

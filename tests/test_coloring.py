@@ -164,6 +164,17 @@ class TestDualColoring:
             comp = space.full_mask ^ v
             assert d.color_of(v) is c.color_of(comp).flipped()
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_reversed_negation(self, m):
+        # m >= 3 takes the 64-bit word path, m < 3 the entrywise one.
+        c = random_coloring(m, random.Random(40 + m))
+        assert np.array_equal(dual_coloring(c).red, ~c.red[::-1])
+
+    def test_strided_table(self):
+        red = np.random.default_rng(5).random(32) < 0.5
+        c = Coloring(CubeSpace(4), red[::2])
+        assert np.array_equal(dual_coloring(c).red, ~red[::2][::-1])
+
     def test_involution_including_scheme(self):
         c = make_c0(3)
         assert dual_coloring(dual_coloring(c)) == c
@@ -355,6 +366,103 @@ class TestParseMatchesLoop:
             tracemalloc.stop()
         assert outcome == ("line 4, column 3: payload line has 2 entries, expected 64", 4, 3)
         assert peak < 16 << 20
+
+
+def read_outcome(read, source):
+    """The parsed coloring, or the error's type, message, line and column
+    (None for a decode error)."""
+    try:
+        return read(source)
+    except (ColoringFormatError, UnicodeDecodeError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+class TestLoadMatchesParse:
+    """``load_coloring`` reads bytes and ``parse_coloring`` takes str or
+    bytes: each input reads the same every way, and as the file read as
+    whole UTF-8 text did (``oracles.load_coloring_text``)."""
+
+    BYTE_CASES = [
+        b"QRC1\r\nm=1\r\nscheme=x\r\nBR\r\n",  # CRLF line ends
+        b"QRC1\nm=1\nscheme=x\nBR\r\n",  # CR at a payload line end
+        b"QRC1\nm=1\nscheme=\xff\nBR\n",  # invalid UTF-8 in the header
+        b"Q\xc3RC1\nm=1\nscheme=x\nBR\n",  # truncated sequence in the magic
+        b"QRC1\nm=1\nscheme=x\nB\xffR\n",  # invalid UTF-8 in the payload
+        b"QRC1\nm=1\nscheme=x\nBR\n\x80",  # ... after a complete payload
+        b"QRC2\nm=1\nscheme=x\nBR\n\xff",  # the decode error precedes the header's
+        b"QRC1\nm=2\nscheme=x\nBRB\xed\xa0\x80\n",  # an encoded surrogate is not UTF-8
+        b"\xef\xbb\xbfQRC1\nm=1\nscheme=x\nBR\n",  # a byte-order mark is not the magic
+        "QRC1\nm=1\nscheme=gr\u00f6\u00dfe \u2264 2\nBR\n".encode(),  # non-ASCII label
+        "QRC1\nm=1\nscheme=gr\u00f6\u00dfe\nB\u00e9\n".encode(),  # non-ASCII payload
+        "QRC1\nm=1\nscheme=\u00e9\nBRR\n".encode(),
+        "QRC1\nm=7\nscheme=\u2264\n".encode() + b"R" * 64 + "\u00e9\n".encode(),
+        b"QRC1\nm=1\nscheme=x",
+        b"",
+    ]
+
+    @pytest.mark.parametrize("text,line,column", TestQRC1Errors.CASES)
+    def test_malformed_cases(self, tmp_path, text, line, column):
+        path = tmp_path / "c.qrc1"
+        path.write_bytes(text.encode())
+        want = read_outcome(parse_coloring, text)
+        assert want[2:] == (line, column)
+        assert read_outcome(parse_coloring, text.encode()) == want
+        assert read_outcome(load_coloring, path) == want
+        assert read_outcome(oracles.load_coloring_text, path) == want
+
+    @pytest.mark.parametrize("data", BYTE_CASES)
+    def test_byte_cases(self, tmp_path, data):
+        path = tmp_path / "c.qrc1"
+        path.write_bytes(data)
+        want = read_outcome(oracles.load_coloring_text, path)
+        assert read_outcome(load_coloring, path) == want
+        assert read_outcome(parse_coloring, data) == want
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert want[0] is UnicodeDecodeError
+        else:
+            assert read_outcome(parse_coloring, text) == want
+
+    def test_valid_non_ascii_label(self, tmp_path):
+        c = Coloring(CubeSpace(3), make_layered(3).red, "gr\u00f6\u00dfe \u2264 2")
+        path = tmp_path / "c.qrc1"
+        save_coloring(c, path)
+        assert load_coloring(path) == parse_coloring(path.read_bytes()) == c
+
+    def test_lone_surrogates_in_str(self):
+        # A str need not be encodable: its label is kept, and in the
+        # payload it is an illegal character.
+        c = parse_coloring("QRC1\nm=1\nscheme=\ud800\nBR\n")
+        assert c.scheme == "\ud800" and c.red.tolist() == [False, True]
+        assert read_outcome(parse_coloring, "QRC1\nm=1\nscheme=x\nB\udfff\n") == (
+            ColoringFormatError, "line 4, column 2: illegal character '\\udfff'", 4, 2
+        )
+
+    def test_byte_corruption_corpus(self, tmp_path):
+        rng = random.Random(2026)
+        path = tmp_path / "c.qrc1"
+        pieces = [b"R", b"B", b"\n", b"\r", b"X", b"\xff", b"\x80", b"\xc3", "\u00e9".encode()]
+        kinds = set()
+        for case in range(400):
+            m = rng.randint(1, 8)
+            data = render_coloring(random_coloring(m, rng, scheme="s\u00e9")).encode()
+            for _ in range(rng.randint(1, 2)):
+                at = rng.randrange(len(data) + 1)
+                piece = rng.choice(pieces)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    data = data[:at] + piece + data[at + 1 :]
+                elif kind == 1:
+                    data = data[:at] + piece + data[at:]
+                else:
+                    data = data[:at]
+            path.write_bytes(data)
+            want = read_outcome(oracles.load_coloring_text, path)
+            assert read_outcome(load_coloring, path) == want, (case, data)
+            assert read_outcome(parse_coloring, data) == want, (case, data)
+            kinds.add(want[0] if isinstance(want, tuple) else Coloring)
+        assert kinds == {Coloring, ColoringFormatError, UnicodeDecodeError}
 
 
 @given(st.integers(1, 6), st.data())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cuberamsey import flipgraph
 from cuberamsey import (
     CapacityError,
     FlipGraph,
@@ -108,6 +109,7 @@ class TestMatchesLoop:
         assert g.edges.shape == (len(edges), 2)
         assert tuple(g.vertices.tolist()) == vertices
         assert tuple(edge_tuples(g)) == edges
+        assert np.array_equal(g.ends, np.searchsorted(g.vertices, g.edges))
         assert g.degree_histogram == oracles.degree_histogram_loop(vertices, edges)
         assert check_bipartition(g) == oracles.bipartition_loop(vertices, edges)
         assert "".join(export_edges(g)) == "".join(f"{u} {v}\n" for u, v in edges)
@@ -129,6 +131,11 @@ class TestUnreachedBranches:
         # 10 (even) is isolated and starts its own component on side 0,
         # with the other even vertex 5.
         "isolated-vertex": ([5, 6, 10], [(5, 6)], (True, False, 1, 2, True)),
+        # The n = 2 four-cycle with its edges out of order: the search
+        # groups them by either end itself.
+        "unsorted-edges": (
+            [5, 6, 9, 10], [(9, 10), (5, 6), (6, 10), (5, 9)], (True, True, 2, 2, True)
+        ),
         # No component at all is not one connected component.
         "empty": ([], [], (True, False, 0, 0, True)),
     }
@@ -160,3 +167,46 @@ class TestExport:
 
     def test_single_edge_graph(self):
         assert list(export_edges(build_flip_graph(1))) == ["1 2\n"]
+
+
+class TestExportMatchesPercent:
+    """The digit-table export against the ``%`` formatting it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_flip_graphs(self, n):
+        g = build_flip_graph(n)
+        chunks = list(export_edges(g))
+        assert all(type(chunk) is str for chunk in chunks)
+        assert len(chunks) == -(-len(g.edges) // flipgraph._EXPORT_CHUNK)
+        assert "".join(chunks) == oracles.export_edges_percent(g)
+
+    # vertices and edges (u, v), u < v, sorted
+    GRAPHS = {
+        "mixed-digit-counts": (
+            [0, 7, 9, 10, 99, 100, 12345, 10**12],
+            [(0, 7), (0, 10**12), (7, 100), (9, 10), (10, 12345), (99, 100), (100, 10**12)],
+        ),
+        "value-zero": ([0, 1], [(0, 1)]),
+        "one-edge": ([5, 6], [(5, 6)]),
+        "no-edges": ([5, 6, 9], []),
+        "no-vertices": ([], []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_hand_built(self, name):
+        vertices, edges = self.GRAPHS[name]
+        g = FlipGraph(
+            2,
+            np.array(vertices, dtype=np.int64),
+            np.array(edges, dtype=np.int64).reshape(-1, 2),
+        )
+        text = "".join(export_edges(g))
+        assert text == oracles.export_edges_percent(g)
+        assert text == "".join(f"{u} {v}\n" for u, v in edges)
+
+    def test_partial_last_chunk(self, monkeypatch):
+        g = build_flip_graph(5)  # 80 edges: 11 chunks of 7 and one of 3
+        monkeypatch.setattr(flipgraph, "_EXPORT_CHUNK", 7)
+        chunks = list(export_edges(g))
+        assert [c.count("\n") for c in chunks] == [7] * 11 + [3]
+        assert "".join(chunks) == oracles.export_edges_percent(g)

@@ -11,29 +11,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import hit_probe, iterate_layer, layer_masks, pair_index, pair_probe
 from cuberamsey import (
     CapacityError,
     CubeSpace,
     ElementSet,
     complement,
-    count_pairs_singles,
-    element_sum_parity,
-    iterate_layer,
-    missed_pairs,
-    pair_index,
     parse_set,
     partner,
 )
 from cuberamsey import lattice
 from cuberamsey.lattice import (
     TABLE_BYTES_PER_SUBSET,
-    hit_probe,
     index_table,
-    layer_masks,
     missed_count_table,
     odd_sum_table,
     pair_count_table,
-    pair_probe,
     popcount_table,
     profile_table,
 )
@@ -156,38 +149,38 @@ class TestProbes:
     def test_known_example(self):
         # {1,2,3,5,6,7,8} over [8]: pairs {1,2},{5,6},{7,8}; single 3.
         s = ElementSet.from_elements([1, 2, 3, 5, 6, 7, 8], 8)
-        assert count_pairs_singles(s, CubeSpace(8)) == (3, 1)
+        assert oracles.pairs_and_singles(s.bits, 4) == (3, 1)
+        assert pair_count_table(8)[s.bits] == 3
+        assert missed_count_table(8)[s.bits] == 0
 
     @given(st.integers(1, 8), st.data())
     def test_pairs_singles_invariants(self, n, data):
-        space = CubeSpace.with_pairs(n)
-        bits = data.draw(masks_over(2 * n))
-        s = ElementSet(bits, space.m)
-        pairs, singles = count_pairs_singles(s, space)
+        m = 2 * n
+        bits = data.draw(masks_over(m))
+        pairs = int(pair_count_table(m)[bits])
+        singles = int(popcount_table(m)[bits]) - 2 * pairs
         assert (pairs, singles) == oracles.pairs_and_singles(bits, n)
-        assert 2 * pairs + singles == s.size
-        assert pairs + singles + len(missed_pairs(s, space)) == n
+        assert pairs + singles + int(missed_count_table(m)[bits]) == n
+        assert missed_count_table(m)[bits] == len(oracles.missed(bits, n))
 
     def test_missed_pairs_example(self):
-        space = CubeSpace(6)
-        assert missed_pairs(ElementSet.from_elements([3, 4], 6), space) == [1, 3]
-        assert missed_pairs(ElementSet(space.full_mask, 6), space) == []
+        bits = ElementSet.from_elements([3, 4], 6).bits
+        assert oracles.missed(bits, 3) == [1, 3]
+        assert missed_count_table(6)[bits] == 2
+        assert oracles.missed(63, 3) == [] and missed_count_table(6)[63] == 0
 
     def test_no_missed_pair_with_k_pairs_forces_size(self):
         # No misses and exactly k complete pairs means n - k singles.
-        space = CubeSpace.with_pairs(4)
         rng = random.Random(7)
         for _ in range(50):
-            bits = rng.randrange(space.size)
-            s = ElementSet(bits, space.m)
-            if missed_pairs(s, space):
+            bits = rng.randrange(1 << 8)
+            if missed_count_table(8)[bits]:
                 continue
-            pairs, _ = count_pairs_singles(s, space)
-            assert s.size == 4 + pairs
+            assert popcount_table(8)[bits] == 4 + pair_count_table(8)[bits]
 
     def test_wrong_space_rejected(self):
         with pytest.raises(ValueError):
-            count_pairs_singles(ElementSet(1, 4), CubeSpace(6))
+            complement(ElementSet(1, 4), CubeSpace(6))
 
 
 class TestComplementParity:
@@ -203,7 +196,7 @@ class TestComplementParity:
     @given(st.integers(1, 10), st.data())
     def test_parity_matches_literal_sum(self, m, data):
         bits = data.draw(masks_over(m))
-        assert element_sum_parity(ElementSet(bits, m)) == oracles.sum_parity(bits)
+        assert odd_sum_table(m)[bits] == (oracles.sum_parity(bits) == "odd")
 
     @given(st.integers(1, 8), st.data())
     def test_partner_swap_flips_parity(self, n, data):
@@ -213,7 +206,7 @@ class TestComplementParity:
         singles = [a for a in s.elements() if partner(a, space) not in s]
         for a in singles:
             swapped = ElementSet(bits ^ (1 << (a - 1)) ^ (1 << (partner(a, space) - 1)), s.m)
-            assert element_sum_parity(swapped) != element_sum_parity(s)
+            assert odd_sum_table(2 * n)[swapped.bits] != odd_sum_table(2 * n)[bits]
 
 
 class TestLayers:
@@ -257,9 +250,9 @@ class TestTables:
             s = ElementSet(v, m)
             assert idx[v] == v
             assert pc[v] == s.size
-            assert pairs[v] == count_pairs_singles(s, space)[0]
-            assert miss[v] == len(missed_pairs(s, space))
-            assert odd[v] == (element_sum_parity(s) == "odd")
+            assert pairs[v] == oracles.pairs_and_singles(v, n)[0]
+            assert miss[v] == len(oracles.missed(v, n))
+            assert odd[v] == (oracles.sum_parity(v) == "odd")
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_split_tables_match_full_index_builders(self, m):
@@ -300,6 +293,13 @@ class TestProfileTable:
         for k in range(n + 1):
             got = profile_table(m, lambda size, pairs, odd: n - size + pairs == k)
             assert np.array_equal(got, missed == k), k
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_keeps_rule_dtype(self, dtype):
+        sizes, pairs = popcount_table(8), pair_count_table(8)
+        got = profile_table(8, lambda size, pairs, odd: (size + 3 * pairs).astype(dtype))
+        assert got.dtype == dtype and not got.flags.writeable
+        assert np.array_equal(got, sizes + 3 * pairs)
 
     def test_needs_even_ground_set(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import violates_flip_pair
+from oracles import extend_to_maximal, violates_flip_pair
 from conftest import random_family, tampered_c0
 from cuberamsey import (
     Color,
@@ -16,15 +16,14 @@ from cuberamsey import (
     SetFamily,
     build_flip_graph,
     dual_coloring,
-    extend_to_maximal,
     is_flip_susceptible,
     is_miss_forbidding,
     is_not_too_high,
     is_pair_enforcing,
     is_restrictive,
     make_c0,
-    missed_pairs,
 )
+from cuberamsey import properties
 from cuberamsey.lattice import (
     missed_count_table,
     odd_sum_table,
@@ -272,6 +271,33 @@ class TestAgainstTableChecks:
         assert failed > 0
 
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_all_three_bands_violated(self, n):
+        """Seeded families with several violators of every band at once:
+        each property still reports its own lowest witness."""
+        m = 2 * n
+        sizes, pairs = popcount_table(m), pair_count_table(m)
+        missed = missed_count_table(m)
+        low, high = (n + 1) // 2, n + n // 2
+        bands = [
+            np.flatnonzero((sizes >= low) & (sizes < n) & (pairs == 0)),
+            np.flatnonzero((sizes > n) & (sizes <= high) & (missed > 0)),
+            np.flatnonzero(sizes > high),
+        ]
+        rng = random.Random(1500 + n)
+        for trial in range(5):
+            base = make_c0(n).color_class(Color.RED) if trial % 2 else random_family(m, rng, 0.1)
+            mask = base.mask.copy()
+            for band in bands:
+                if band.size:
+                    mask[rng.sample(band.tolist(), min(3, band.size))] = True
+            fam = SetFamily(base.space, mask)
+            reports = is_restrictive(fam, n).subreports[:3]
+            for report, (check, oracle), band in zip(reports, self.CHECKS, bands):
+                assert report == check(fam, n) == oracle(fam, n), check.__name__
+                assert not report.holds or band.size == 0
+
+
 class TestRestrictive:
     def test_c0_and_dual_hold_for_small_and_large_n(self):
         for n in range(1, 13):
@@ -279,9 +305,10 @@ class TestRestrictive:
             assert is_restrictive(c.color_class(Color.RED), n).holds, n
             dual_red = dual_coloring(c).color_class(Color.RED)
             assert is_restrictive(dual_red, n).holds, n
-        for m in (22, 24):  # release the big per-subset tables
-            for table in (popcount_table, pair_count_table, missed_count_table, odd_sum_table):
-                table.cache_clear()
+        # Release the big per-subset tables.
+        for table in (popcount_table, pair_count_table, missed_count_table, odd_sum_table):
+            table.cache_clear()
+        properties._band_table.cache_clear()
 
     def test_subreport_order_is_fixed(self):
         rep = is_restrictive(family_over(4, []), 4)
@@ -352,12 +379,11 @@ class TestExtendToMaximal:
 
     def test_postconditions_over_whole_red_class(self):
         n = self.n
-        space = self.family.space
         for s in self.family.iter_sets():
             ext = extend_to_maximal(self.family, s, n)
             assert ext.size == n + n // 2
             assert oracles.pairs_and_singles(ext.bits, n)[0] == n // 2
-            assert missed_pairs(ext, space) == []
+            assert oracles.missed(ext.bits, n) == []
             assert ext.bits & s.bits == s.bits  # superset
             aug = self.family if self.family.contains(ext) else self.family.with_toggled(ext)
             assert is_restrictive(aug, n).holds, str(s)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import naive_count_embeddings
+from oracles import count_distinct_copies, naive_count_embeddings
 from conftest import random_family
 from cuberamsey import (
     Color,
@@ -19,7 +19,6 @@ from cuberamsey import (
     Embedding,
     SetFamily,
     copy_image_masks,
-    count_distinct_copies,
     find_copy,
     make_c0,
     make_c3,
