@@ -6,12 +6,35 @@ An embedding f maps every A in 2^[n] to a member of the family so that
 A is a subset of B exactly when f(A) is a subset of f(B).  The search
 assigns images in a fixed order (bottom, top, the singletons {1}..{n},
 then the remaining sources by ascending size and encoded value), deriving
-each candidate list from the interval between the union u of assigned
-subset images and the intersection of assigned superset images: the
-candidates are x = u + w for the submasks w of the free part d, in
-ascending order.  So the search meets complete assignments in
-lexicographic order of their image vectors (read in assignment order),
-and the first find is the lexicographically smallest embedding.
+each candidate list from the interval between the union u of the images
+of the source's children (s - {i} for i in s) and the image of the top:
+the candidates are x = u + w for the submasks w of the free part
+d = f(top) - u, in ascending order.  So the search meets complete
+assignments in lexicographic order of their image vectors (read in
+assignment order), and the first find is the lexicographically smallest
+embedding.
+
+Each candidate must also be incomparable with the images of the earlier
+sources incomparable with s; only the probes, the earlier singletons {i}
+with i not in s, are tested, and this accepts exactly the same candidates.
+Proof.  The assigned images are consistent: for earlier A and B, A is a
+subset of B exactly when f(A) is a subset of f(B).
+  1. Sources come by size after the bottom and the top, so the top is the
+     only earlier proper superset of s, and u lies inside f(top): each
+     child is a proper subset of the top.
+  2. Every earlier proper subset of s lies inside a child (or is the
+     bottom, inside every child), so the children's images have the same
+     union as all earlier subset images.
+  3. If f(A) is inside x for an earlier A incomparable with s, take i in
+     A - s.  {i} is earlier than s (s has two or more elements, or s is a
+     singleton and A an earlier singleton), and f({i}) is inside f(A),
+     so inside x: the probe {i} rejects x too.
+  4. If x is inside f(A) for such an A and |s| >= 2, some child C of s is
+     not inside A (the children's union is s, which is not inside A).  But
+     f(C) is inside u, inside x, inside f(A), against the consistency of
+     the assigned pair (C, A); so this never happens.  For a singleton s
+     the earlier incomparable sources are exactly its probes.
+So neither candidates, nodes nor counters change; this is not a prune.
 
 With prune=True four provable reductions apply; prune=False walks the
 plain tree, and outcomes, first-mode witnesses and counts are the same
@@ -77,6 +100,7 @@ and including the find, so no counter depends on the worker count.
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_right
 from collections import deque
@@ -221,23 +245,23 @@ def verify_embedding(e: Embedding, family: SetFamily | None = None) -> Embedding
 
 @lru_cache(maxsize=16)
 def _prepare_sources(n: int):
-    """Assignment order over 2^[n] and, per position, the earlier positions
-    holding proper subsets, proper supersets, and incomparable sources."""
+    """Assignment order over 2^[n] and, per position k >= 2 (source s),
+    the positions of its children s - {i} (the bottom for a singleton) and
+    of its probes, the singletons {i} with i not in s that come before s.
+    Positions 0 and 1 have neither."""
     if not 1 <= n <= MAX_SOURCE_N:
         raise ValueError(f"source cube parameter {n} outside 1..{MAX_SOURCE_N}")
     full = (1 << n) - 1
     order = [0, full] + sorted(range(1, full), key=lambda s: (s.bit_count(), s))
-    order_arr = np.array(order, dtype=np.int64)
-    subs, sups, incs = [], [], []
+    position = [0] * (full + 1)
     for k, s in enumerate(order):
-        earlier = order_arr[:k]
-        meet = earlier & s
-        is_sub = meet == earlier
-        is_sup = ~is_sub & (meet == s)
-        subs.append(np.flatnonzero(is_sub).tolist())
-        sups.append(np.flatnonzero(is_sup).tolist())
-        incs.append(np.flatnonzero(~(is_sub | is_sup)).tolist())
-    return order, subs, sups, incs
+        position[s] = k
+    children, probes = [[], []], [[], []]
+    for k, s in enumerate(order[2:], 2):
+        children.append([position[s ^ 1 << i] for i in range(n) if s >> i & 1])
+        singles = (position[1 << i] for i in range(n) if not s >> i & 1)
+        probes.append([j for j in singles if j < k])
+    return order, children, probes
 
 
 class _DeadlineHit(Exception):
@@ -332,13 +356,15 @@ class _Engine:
         prune: bool,
         deadline: float | None,
     ) -> None:
-        m = family.space.m
-        self.all_elements = (1 << m) - 1
         self.n = n
         self.member = memoryview(family.mask)
         self.members = family.member_values().astype(np.uint32)
-        self.order, self.subs, self.sups, self.incs = _prepare_sources(n)
+        self.order, self.children, self.probes = _prepare_sources(n)
         self.positions = len(self.order)
+        # _extend recurses once per position, 2^n deep, past the default
+        # limit of 1,000 from n = 10 on.  Only ever raised, here and in
+        # every pool worker, each of which builds its own engine.
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), self.positions + 1000))
         self.sizes = [s.bit_count() for s in self.order]
         # Positions 2..n+1 hold the singletons; each image after the first
         # must exceed its predecessor (source symmetry).
@@ -437,14 +463,10 @@ class _Engine:
             return False
         images = self.images
         u = 0
-        for j in self.subs[k]:
+        for j in self.children[k]:
             u |= images[j]
-        cap = self.all_elements
-        for j in self.sups[k]:
-            cap &= images[j]
-        if u & ~cap:
-            return False
-        d = cap & ~u
+        # u lies inside the image of the top (module docstring, point 1).
+        d = images[1] ^ u
         hits = self.prune_hits
         if self.prune:
             # Window on |w| = |x| - |u| for the candidates x = u + w.
@@ -458,7 +480,7 @@ class _Engine:
         floored = self.floored[k]
         member = self.member
         used = self.used
-        incs = self.incs[k]
+        probes = self.probes[k]
         low_lists = self.low_lists
         # Chunks: w_high walks the submasks of d above its lowest _LOW_BITS
         # set bits, each followed by the cached list of low submasks whose
@@ -486,7 +508,7 @@ class _Engine:
                 if not member[x] or x in used:
                     continue
                 ok = True
-                for j in incs:
+                for j in probes:
                     v = images[j]
                     xv = x & v
                     if xv == x or xv == v:

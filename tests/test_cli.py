@@ -1,10 +1,13 @@
 """End-to-end command behavior: exit codes, reports, and file outputs."""
 
+import numpy as np
 import pytest
 
 from conftest import same_stable_report, tampered_c0
 from cuberamsey import (
     Color,
+    Coloring,
+    CubeSpace,
     Embedding,
     SearchOutcome,
     load_coloring,
@@ -271,6 +274,21 @@ class TestFindCopyCommand:
             "--threads", 1, "--out", report,
         )
         assert report.read_text() == out
+
+    def test_search_deeper_than_default_recursion_limit(self, capsys, tmp_path):
+        # A copy of 2^[10] has 1,024 positions, one recursion level each.
+        path = tmp_path / "red10.qrc1"
+        save_coloring(Coloring(CubeSpace(10), np.ones(1 << 10, dtype=bool), "all red"), path)
+        report = tmp_path / "report.txt"
+        code, _, _ = run(
+            capsys,
+            "find-copy", "--n", 10, "--coloring", path, "--color", "red",
+            "--threads", 1, "--out", report,
+        )
+        assert code == EXIT_FOUND
+        code, out, _ = run(capsys, "recheck", report, "--coloring", path)
+        assert code == EXIT_OK
+        assert parse_report(out)[0]["verdict"] == "certificates-valid"
 
 
 class TestRecheckCommand:

@@ -446,10 +446,74 @@ class TestTargetSymmetry:
             assert skipped == sum(size - 1 for _, _, size in pairs)
 
 
+def full_source_lists(n):
+    """The engine's source lists replaced by every earlier proper subset
+    and every earlier incomparable source."""
+    order, subs, _, incs = oracles.prepare_sources_loop(n)
+    return order, subs, incs
+
+
 class TestPrepareSources:
     def test_matches_pairwise_loop(self):
         for n in range(1, 9):
-            assert search._prepare_sources(n) == oracles.prepare_sources_loop(n)
+            order, subs, sups, incs = oracles.prepare_sources_loop(n)
+            got_order, children, probes = search._prepare_sources(n)
+            assert got_order == order
+            assert children[:2] == probes[:2] == [[], []]
+            for k in range(2, len(order)):
+                # The top is the only earlier proper superset.
+                assert sups[k] == [1]
+                size = order[k].bit_count()
+                assert sorted(children[k]) == [
+                    j for j in subs[k] if order[j].bit_count() == size - 1
+                ]
+                assert sorted(probes[k]) == [j for j in incs[k] if order[j].bit_count() == 1]
+                assert len(children[k]) <= n and len(probes[k]) <= n
+
+    def test_full_lists_change_no_outcome(self, monkeypatch):
+        cases = [(full_family(m), n) for m in range(1, 5) for n in range(1, m + 1)]
+        rng = random.Random(1515)
+        for m in range(1, 7):
+            for _ in range(4):
+                fam = random_family(m, rng, density=rng.uniform(0.4, 0.95))
+                cases.append((fam, rng.randint(1, min(m, 4))))
+
+        def outcomes():
+            return [
+                find_copy(fam, n, mode=mode, prune=prune)
+                for fam, n in cases
+                for mode in ("first", "count")
+                for prune in (True, False)
+            ]
+
+        expected = outcomes()
+        monkeypatch.setattr(search, "_prepare_sources", full_source_lists)
+        got = outcomes()
+        assert sum(out.status == "found" for out in expected) > len(expected) // 4
+        for a, b in zip(got, expected):
+            assert (a.status, a.embedding, a.count) == (b.status, b.embedding, b.count)
+            assert (a.nodes_explored, a.prune_hits) == (b.nodes_explored, b.prune_hits)
+
+    def test_memory_bound(self):
+        # Full pairwise lists would hold 8.4 M entries at n = 12 (290 MB traced).
+        tracemalloc.start()
+        try:
+            search._prepare_sources.__wrapped__(12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestDeepSearch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_cube_n10(self, workers):
+        # 1,024 positions: the recursion runs past the default limit of 1,000.
+        fam = full_family(10)
+        out = find_copy(fam, 10, workers=workers)
+        assert out.status == "found"
+        assert out.embedding.image_values == tuple(range(1 << 10))
+        assert verify_embedding(out.embedding, fam).ok
 
 
 class TestInWindowGeneration:
