@@ -96,17 +96,32 @@ they audit completed exhaustions.  Each representative root pair is one
 task; a root-pair rejection counts to the task after it in the walk (after
 the last task, at exhaustion), and a found outcome counts the tasks up to
 and including the find, so no counter depends on the worker count.
+
+Work splitting.  Tasks are handed out in submissions: runs of consecutive
+tasks that end at the first large one (root gap |t| - |b| above n + 1, or
+n + 1 from the empty bottom) or after _BATCH tasks.  With more than one
+worker the calling process runs submissions itself and forks up to
+workers - 1 workers, which inherit the engine and exchange pickled
+submissions and results with it over pipes.  It forks only when it is
+about to run a large task or its second submission, so a search decided
+by the small tasks at the head of the walk starts no process.  Each
+process holds one submission at a time, so at most ``workers`` large
+tasks are in flight and an idle worker is handed the next submission at
+once: the calling process serves the workers at its engine's checkpoints.
+Results are folded in task order whichever process ran them.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import sys
 import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, takewhile
+from itertools import takewhile
 from math import comb, factorial
 
 import numpy as np
@@ -127,6 +142,9 @@ _CACHED_ENTRIES = 1 << 16
 # most 2^m / _SPARSE members, and compare whole membership tables otherwise:
 # at m = 24 a member costs about 14 times as much as a table entry.
 _SPARSE = 16
+
+# A worker is sent at most _BATCH consecutive tasks at a time (_submission).
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -177,70 +195,62 @@ class SearchOutcome:
 
 
 def verify_embedding(e: Embedding, family: SetFamily | None = None) -> EmbeddingCheck:
-    """Re-check an embedding from scratch: distinct images, the subset
-    biconditional over all ordered source pairs, both provable cardinality
-    and top-children bounds, and membership when a family is given."""
+    """Re-check an embedding from scratch: membership when a family is
+    given, distinct images, then the two conditions that make a map f an
+    order embedding:
+      (a) f(A) is inside f(A + {i}) for every A and every i not in A, the
+          n 2^(n-1) cover pairs;
+      (b) f({i}) is not inside f([n] - {i}) for every i.
+    Proof.  By (a) and transitivity along chains of covers, f is monotone.
+    If f(A) is inside f(B) though A is not inside B, take i in A - B: then
+    f({i}) is inside f(A), inside f(B), inside f([n] - {i}), against (b).
+    An embedding satisfies both.  So the distinct images, the cardinality
+    gaps and the top-children bounds of an embedding follow; the distinct
+    images are still tested first, for their own message."""
     size = 1 << e.n
     if len(e.images) != size:
         raise ValueError(f"expected {size} images for n={e.n}, got {len(e.images)}")
     for s in e.images:
         if s.m != e.m:
             raise ValueError(f"image {s} is not over [{e.m}]")
+    vals = [s.bits for s in e.images]
     if family is not None:
         if family.space.m != e.m:
             raise ValueError(
                 f"family over [{family.space.m}] but embedding targets [{e.m}]"
             )
-        for a in range(size):
-            if not family.contains(e.images[a]):
-                return EmbeddingCheck(
-                    False, f"image {e.images[a]} of {ElementSet(a, e.n)} not in family"
-                )
-    vals = [s.bits for s in e.images]
+        outside = np.flatnonzero(~family.mask[vals])
+        if outside.size:
+            a = int(outside[0])
+            return EmbeddingCheck(
+                False, f"image {e.images[a]} of {ElementSet(a, e.n)} not in family"
+            )
     seen: dict[int, int] = {}
-    for a in range(size):
-        if vals[a] in seen:
+    for a, v in enumerate(vals):
+        if v in seen:
             return EmbeddingCheck(
                 False,
-                f"images of {ElementSet(seen[vals[a]], e.n)} and "
-                f"{ElementSet(a, e.n)} coincide",
+                f"images of {ElementSet(seen[v], e.n)} and {ElementSet(a, e.n)} coincide",
             )
-        seen[vals[a]] = a
-    for a in range(size):
-        for b in range(size):
-            if a == b:
-                continue
-            sub = a & b == a
-            img_sub = vals[a] & vals[b] == vals[a]
-            if sub != img_sub:
-                return EmbeddingCheck(
-                    False,
-                    f"order violated on ({ElementSet(a, e.n)}, {ElementSet(b, e.n)})",
-                )
-            if sub:
-                gap = vals[b].bit_count() - vals[a].bit_count()
-                if gap < b.bit_count() - a.bit_count():
-                    return EmbeddingCheck(
-                        False,
-                        "cardinality gap too small on "
-                        f"({ElementSet(a, e.n)}, {ElementSet(b, e.n)})",
-                    )
-    if e.n >= 1:
-        full = size - 1
-        top_size = vals[full].bit_count()
-        inter = [0] * size
-        inter[0] = (1 << e.m) - 1
-        for imask in range(1, size):
-            low = imask & -imask
-            child = full ^ low
-            inter[imask] = inter[imask ^ low] & vals[child]
-            if inter[imask].bit_count() > top_size - imask.bit_count():
-                return EmbeddingCheck(
-                    False,
-                    f"top children over {ElementSet(imask, e.n)} intersect "
-                    "in too many elements",
-                )
-    return EmbeddingCheck(True, None)
+        seen[v] = a
+    image = np.array(vals, dtype=np.int64)
+    # (a) on the cover pairs (A, A + {i}), ordered by A, then i.
+    lower, i = np.nonzero((np.arange(size)[:, None] >> np.arange(e.n) & 1) == 0)
+    upper = lower | 1 << i
+    broken = np.flatnonzero(image[lower] & ~image[upper])
+    if broken.size:
+        a, b = int(lower[broken[0]]), int(upper[broken[0]])
+    else:
+        # (b) on the singletons {i} and their complements [n] - {i}.
+        singles = 1 << np.arange(e.n)
+        nested = np.flatnonzero((image[singles] & ~image[size - 1 - singles]) == 0)
+        if not nested.size:
+            return EmbeddingCheck(True, None)
+        a = int(singles[nested[0]])
+        b = size - 1 - a
+    return EmbeddingCheck(
+        False, f"order violated on ({ElementSet(a, e.n)}, {ElementSet(b, e.n)})"
+    )
 
 
 @lru_cache(maxsize=16)
@@ -372,6 +382,9 @@ class _Engine:
         self.mode = mode
         self.prune = prune
         self.deadline = deadline
+        # Run about every 256 units of work (_tick): the deadline check,
+        # or a pool's service of its workers, which checks it too.
+        self.checkpoint = None if deadline is None else self._check_deadline
         self.low_lists: dict[tuple[int, int, int], list[int]] = {}
         self.cached_entries = 0
         self.images = [0] * self.positions
@@ -388,7 +401,7 @@ class _Engine:
         self.used = {b, t}
         hit = False
         try:
-            self._check_deadline()
+            self._tick()
             self._extend(2)
         except _DeadlineHit:
             hit = True
@@ -412,7 +425,7 @@ class _Engine:
         self.walk_hit = False
         try:
             for i, b in enumerate(members.tolist()):
-                self._check_deadline(len(members))
+                self._tick(len(members))
                 # Supersets of b are larger than b, so only later members.
                 later = members[i + 1 :]
                 inside = (later & b) == b
@@ -424,13 +437,13 @@ class _Engine:
                     if (b, t) in pending:
                         pending.remove((b, t))
                         hits["target-symmetry"] += 1
-                        self._check_deadline()
+                        self._tick()
                         continue
                     orbit = {(b, t)}
                     frontier = [(b, t)]
                     while swaps and frontier:
                         pb, pt = frontier.pop()
-                        self._check_deadline(len(swaps))
+                        self._tick(len(swaps))
                         for g in swaps:
                             image = (_swap(pb, *g), _swap(pt, *g))
                             if image not in orbit:
@@ -443,16 +456,18 @@ class _Engine:
         except _DeadlineHit:
             self.walk_hit = True
 
-    def _check_deadline(self, work: int = 1) -> None:
-        """Look at the clock once about every 256 units of work: accepted
-        nodes or candidates walked."""
-        if self.deadline is None:
-            return
+    def _tick(self, work: int = 1) -> None:
+        """Count work (candidates walked, root pairs and orbit steps) and run
+        the checkpoint once about every 256 units."""
         self._work += work
         if self._work >= 256:
             self._work = 0
-            if time.monotonic() > self.deadline:
-                raise _DeadlineHit
+            if self.checkpoint is not None:
+                self.checkpoint()
+
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _DeadlineHit
 
     def _extend(self, k: int) -> bool:
         if k == self.positions:
@@ -497,7 +512,11 @@ class _Engine:
             lows = low_lists.get(key)
             if lows is None:
                 lows = self._low_list(key)
-            self._check_deadline(len(lows) + 1)
+            # _tick inlined: a call per chunk slows the calling process of a
+            # pool, whose checkpoint is set, by several per cent.
+            self._work += len(lows) + 1
+            if self._work >= 256:
+                self._tick(0)
             base = u | w_high
             if floored:
                 start = bisect_right(lows, images[k - 1] - base)
@@ -516,7 +535,6 @@ class _Engine:
                         break
                 if ok:
                     self.nodes += 1
-                    self._check_deadline()
                     images[k] = x
                     used.add(x)
                     stop = self._extend(k + 1)
@@ -539,38 +557,252 @@ class _Engine:
         return lows
 
 
-def _start_worker(*args) -> None:
-    """Pool initializer: build the worker process's engine once."""
-    global _worker_engine
-    _worker_engine = _Engine(*args)
+def _large(task, n: int) -> bool:
+    """Whether a task may be large: its root gap |t| - |b| exceeds n + 1, or
+    is n + 1 from the empty bottom.  In the c0 searches up to n = 5 no
+    other task takes more than 2,253 nodes."""
+    b, t = task[:2]
+    gap = t.bit_count() - b.bit_count()
+    return gap > n + 1 or gap == n + 1 and not b
 
 
-def _run_in_worker(task):
-    return _worker_engine.run(task)
+def _submission(tasks, n: int) -> list:
+    """The next tasks for one process: a run of consecutive tasks that ends
+    at the first large one, or after _BATCH tasks."""
+    batch = []
+    for task in tasks:
+        batch.append(task)
+        if len(batch) == _BATCH or _large(task, n):
+            break
+    return batch
 
 
-def _pooled(args: tuple, tasks, workers: int):
-    """Run the tasks on a pool of workers and yield their results in task
-    order.  At most ``workers`` tasks are queued or running at a time (a
-    finished task waiting for an earlier one does not count), so the walk
-    stays close to the fold; closing the generator cancels the queued ones."""
-    # Imported here: runs that never split a search skip loading multiprocessing.
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+def _send(fd: int, obj) -> None:
+    """Write obj to a pipe as its pickle's 4-byte length, then the pickle."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(4, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
 
-    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=args)
-    queued = deque()
-    try:
-        while True:
-            running = sum(not f.done() for f in queued)
-            queued += [pool.submit(_run_in_worker, t) for t in islice(tasks, workers - running)]
-            if not queued:
+
+def _read(fd: int, size: int) -> bytes:
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _receive(fd: int):
+    """Read one object written by _send; None if the writer closed the pipe
+    before its length.  A message cut short raises EOFError."""
+    head = _read(fd, 4)
+    if not head:
+        return None
+    size = int.from_bytes(head, "little")
+    data = _read(fd, size)
+    if len(head) < 4 or len(data) < size:
+        raise EOFError("search worker message cut short")
+    return pickle.loads(data)
+
+
+def _run_batch(engine: _Engine, batch: list) -> list:
+    """Run a submission's tasks in order, up to and including the first
+    find or deadline hit."""
+    results = []
+    for task in batch:
+        results.append(result := engine.run(task))
+        if result[0] is not None or result[4]:
+            break
+    return results
+
+
+def _fork(engine: _Engine, inherited: list[int], sent) -> tuple[int, int, int]:
+    """Fork a worker that runs the submissions sent to it on the engine it
+    inherits, until its task pipe closes, and sets sent[0] after each batch
+    of results it sends; return its pid and the parent's ends of its task
+    and result pipes.  The worker closes the inherited descriptors (the
+    parent's ends of the other workers' pipes), so that each worker alone
+    holds its own pipes, and ignores Ctrl-C, which the parent handles by
+    ending it."""
+    import signal
+
+    task_read, task_write = os.pipe()
+    result_read, result_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for fd in (task_write, result_read, *inherited):
+                os.close(fd)
+            while (batch := _receive(task_read)) is not None:
+                _send(result_write, _run_batch(engine, batch))
+                sent[0] = 1
+            code = 0
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+            raise
+        finally:
+            # Never return into the parent's stack: the exception raised
+            # above ends here.
+            os._exit(code)
+    os.close(task_read)
+    os.close(result_write)
+    return pid, task_write, result_read
+
+
+class _Abandon(Exception):
+    """A worker found a copy in a submission before the calling process's."""
+
+
+class _Pool:
+    """One search's tasks run by the calling process and up to workers - 1
+    forked workers, one submission at a time each, so at most ``workers``
+    large tasks are in flight and the walk stays close to the fold.
+
+    The calling process runs the small tasks at the head of the walk by
+    itself; workers are forked, after the engine is built (so nothing is
+    pickled at start), only when it is about to run a large task or its
+    second submission.  While it runs a task it serves the workers at the
+    engine's checkpoints: it reads the results they have sent and hands
+    the idle ones the next submissions.  Once a find or a deadline hit has
+    come back no further task is taken, and a find in an earlier
+    submission abandons the calling process's own.  ``results`` yields the
+    results in task order; closing it closes the pipes, kills the workers
+    still running a task and reaps every worker.  A worker that exits
+    before returning its results raises ChildProcessError."""
+
+    def __init__(self, engine: _Engine, tasks, workers: int) -> None:
+        import mmap
+        import select
+
+        self.select = select.select
+        # A byte shared with the workers, set by one after it sends results
+        # and cleared here before reading them, so that a checkpoint with
+        # nothing to read makes no system call.
+        self.sent = mmap.mmap(-1, 1)
+        self.engine = engine
+        self.tasks = tasks
+        self.workers = workers
+        self.clock = engine.checkpoint  # the deadline check, or None
+        self.pids: list[int] = []
+        self.fds: list[int] = []
+        self.idle: list[tuple[int, int, int]] = []
+        self.busy: dict[int, tuple[int, int, list]] = {}  # result fd -> pid, task fd, slot
+        self.slots = deque()  # [number, results or None] per submission, in task order
+        self.taken = 0
+        self.stop = False
+        self.found_at = float("inf")  # the first submission known to hold a find
+        self.own = None  # the calling process's current submission
+
+    def _take(self) -> tuple[list, list | None]:
+        """The next submission and its slot; ([], None) once none is left."""
+        batch = [] if self.stop else _submission(self.tasks, self.engine.n)
+        if not batch:
+            return batch, None
+        slot = [self.taken, None]
+        self.taken += 1
+        self.slots.append(slot)
+        return batch, slot
+
+    def _fill(self, slot: list, results: list) -> None:
+        slot[1] = results
+        if results:
+            found, *_, hit = results[-1]
+            if found is not None:
+                self.found_at = min(self.found_at, slot[0])
+            self.stop = self.stop or found is not None or hit
+
+    def _give(self, fork: bool) -> None:
+        """Hand a submission to every idle worker, and with fork=True to new
+        workers up to workers - 1."""
+        while self.idle or fork and len(self.pids) < self.workers - 1:
+            batch, slot = self._take()
+            if not batch:
                 return
-            # The head is waited on even if it finished since it was looked at.
-            wait([queued[0], *(f for f in queued if not f.done())], return_when=FIRST_COMPLETED)
-            while queued and queued[0].done():
-                yield queued.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+            if self.idle:
+                pid, task_fd, result_fd = self.idle.pop()
+            else:
+                pid, task_fd, result_fd = _fork(self.engine, self.fds, self.sent)
+                self.pids.append(pid)
+                self.fds += task_fd, result_fd
+            _send(task_fd, batch)
+            self.busy[result_fd] = pid, task_fd, slot
+
+    def _collect(self, ready: list[int]) -> None:
+        """Read the results of the workers whose result pipes are ready."""
+        for result_fd in ready:
+            pid, task_fd, slot = self.busy.pop(result_fd)
+            self.idle.append((pid, task_fd, result_fd))
+            results = _receive(result_fd)
+            if results is None:
+                raise ChildProcessError(f"search worker {pid} exited during a task")
+            self._fill(slot, results)
+
+    def _serve(self) -> None:
+        """The engine's checkpoint while the calling process runs a task.
+        The walk, advanced here, sees only the deadline check."""
+        if self.sent[0] or self.idle:
+            self.sent[0] = 0
+            self.engine.checkpoint = self.clock
+            try:
+                self._collect(self.select(list(self.busy), [], [], 0)[0])
+                self._give(fork=False)
+            finally:
+                self.engine.checkpoint = self._serve
+            if self.found_at < self.own:
+                raise _Abandon
+        if self.clock is not None:
+            self.clock()
+
+    def _run_own(self, batch: list) -> list:
+        """Run a submission here, as _run_batch does, serving the workers at
+        the engine's checkpoints.  Workers are forked before a large task or
+        any task after the first submission, never inside the engine."""
+        results = []
+        for task in batch:
+            if self.own or _large(task, self.engine.n):
+                self._give(fork=True)
+            self.engine.checkpoint = self._serve
+            try:
+                results.append(result := self.engine.run(task))
+            except _Abandon:
+                break
+            finally:
+                self.engine.checkpoint = self.clock
+            if result[0] is not None or result[4]:
+                break
+        return results
+
+    def results(self):
+        import signal
+
+        try:
+            while True:
+                while self.slots and self.slots[0][1] is not None:
+                    yield from self.slots.popleft()[1]
+                batch, slot = self._take()
+                if batch:
+                    self.own = slot[0]
+                    self._fill(slot, self._run_own(batch))
+                elif self.busy:
+                    self._collect(self.select(list(self.busy), [], [])[0])
+                else:
+                    return
+        finally:
+            self.sent.close()
+            for fd in self.fds:
+                os.close(fd)
+            for pid, _, _ in self.busy.values():
+                os.kill(pid, signal.SIGKILL)
+            for pid in self.pids:
+                os.waitpid(pid, 0)
 
 
 def _search(
@@ -580,11 +812,13 @@ def _search(
     """Walk the root pairs once, run the tasks here (one worker) or on a
     pool, and fold them in task order up to the first find: (find, count,
     nodes, prune hits, deadline hit).  A deadline hit starts no more tasks."""
-    args = (family, n, mode, prune, deadline)
-    engine = _Engine(*args)
+    engine = _Engine(family, n, mode, prune, deadline)
     found, count, nodes, hit, hits = None, 0, 0, False, dict.fromkeys(_PRUNE_NAMES, 0)
     tasks = takewhile(lambda _: not hit, engine._root_pairs(swaps))
-    results = (engine.run(t) for t in tasks) if workers <= 1 else _pooled(args, tasks, workers)
+    if workers <= 1:
+        results = (engine.run(t) for t in tasks)
+    else:
+        results = _Pool(engine, tasks, workers).results()
     try:
         for found, task_count, task_nodes, task_hits, task_hit in results:
             count += task_count
@@ -620,12 +854,15 @@ def find_copy(
     n > MAX_SOURCE_N raises ValueError before any worker starts.  The root
     pairs to search (with prune=True only the orbit representatives under
     the verified automorphisms of the family) are walked once, ascending,
-    and each is one task; the tasks run here or on a pool of workers and
-    are folded in task order, so outcomes, witnesses and counters do not
-    depend on the worker count.  A found outcome counts the tasks up to and
-    including the find.  The budget also covers the automorphism checks
-    before the walk.  A budget hit starts no more tasks, but a find by a
-    task still running wins over it.
+    and each is one task.  The tasks run in this process and, with
+    workers > 1, on up to workers - 1 forked processes (none without
+    os.fork), and are folded in task order, so outcomes, witnesses and
+    counters do not depend on the worker count.  A found outcome counts
+    the tasks up to and including the find; workers still running then are
+    killed, and every worker is reaped before the outcome is returned.  A
+    worker that dies mid-task raises ChildProcessError.  The budget also
+    covers the automorphism checks before the walk.  A budget hit starts
+    no more tasks, but a find by a task still running wins over it.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -643,7 +880,8 @@ def find_copy(
         except _DeadlineHit:
             found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), True
         else:
-            workers = min(workers, family.size)
+            # Worker processes are forked; without fork the search runs here.
+            workers = min(workers, family.size) if hasattr(os, "fork") else 1
             found, count, nodes, hits, hit = _search(
                 family, n, mode, prune, deadline, swaps, workers
             )

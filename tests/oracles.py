@@ -30,7 +30,7 @@ from cuberamsey.lattice import (
     pair_count_table,
     popcount_table,
 )
-from cuberamsey.search import _candidate_swaps, _swap
+from cuberamsey.search import EmbeddingCheck, _candidate_swaps, _swap
 
 
 def subset_elements(bits: int) -> tuple[int, ...]:
@@ -251,6 +251,63 @@ def check_embedding_literal(images, n: int) -> bool:
         for b in range(size)
         if a != b
     )
+
+
+def verify_embedding_loop(e, family=None) -> EmbeddingCheck:
+    """The embedding check over all ordered source pairs, with both
+    cardinality-gap and top-children bounds: membership, distinct images,
+    then the subset biconditional and the gap on each pair (a, b), a then
+    b ascending, then the top children."""
+    size = 1 << e.n
+    if family is not None:
+        for a in range(size):
+            if not family.contains(e.images[a]):
+                return EmbeddingCheck(
+                    False, f"image {e.images[a]} of {ElementSet(a, e.n)} not in family"
+                )
+    vals = [s.bits for s in e.images]
+    seen: dict[int, int] = {}
+    for a in range(size):
+        if vals[a] in seen:
+            return EmbeddingCheck(
+                False,
+                f"images of {ElementSet(seen[vals[a]], e.n)} and "
+                f"{ElementSet(a, e.n)} coincide",
+            )
+        seen[vals[a]] = a
+    for a in range(size):
+        for b in range(size):
+            if a == b:
+                continue
+            sub = a & b == a
+            img_sub = vals[a] & vals[b] == vals[a]
+            if sub != img_sub:
+                return EmbeddingCheck(
+                    False,
+                    f"order violated on ({ElementSet(a, e.n)}, {ElementSet(b, e.n)})",
+                )
+            if sub:
+                gap = vals[b].bit_count() - vals[a].bit_count()
+                if gap < b.bit_count() - a.bit_count():
+                    return EmbeddingCheck(
+                        False,
+                        "cardinality gap too small on "
+                        f"({ElementSet(a, e.n)}, {ElementSet(b, e.n)})",
+                    )
+    full = size - 1
+    top_size = vals[full].bit_count()
+    inter = [0] * size
+    inter[0] = (1 << e.m) - 1
+    for imask in range(1, size):
+        low = imask & -imask
+        inter[imask] = inter[imask ^ low] & vals[full ^ low]
+        if inter[imask].bit_count() > top_size - imask.bit_count():
+            return EmbeddingCheck(
+                False,
+                f"top children over {ElementSet(imask, e.n)} intersect "
+                "in too many elements",
+            )
+    return EmbeddingCheck(True, None)
 
 
 def family_has_copy(family_mask: int, n: int, m: int) -> bool:

@@ -1,10 +1,14 @@
 """The embedding search engine against naive oracles, plus certificates,
 pruning equivalence, worker determinism, and budget semantics."""
 
-import concurrent.futures
+import os
 import random
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -116,6 +120,51 @@ class TestVerifyEmbedding:
         e = Embedding.from_values(1, 3, (0, 1))
         with pytest.raises(ValueError):
             verify_embedding(e, full_family(2))
+
+    def test_agrees_with_pairwise_loop(self):
+        # Seeded maps, n <= 4 and m <= 7: product embeddings (valid), the
+        # same with one image replaced or two images swapped, and random
+        # maps, each checked alone and against a family.
+        rng = random.Random(20261019)
+        verdicts = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            m = rng.randint(n, 7)
+            elements = rng.sample(range(m), m)
+            parts = [1 << elements[i] for i in range(n)]
+            for j in elements[n:]:
+                if rng.random() < 0.5:
+                    parts[rng.randrange(n)] |= 1 << j
+            base = sum(1 << j for j in elements[n:] if rng.random() < 0.3) & ~sum(parts)
+            values = [
+                base | sum(p for i, p in enumerate(parts) if a >> i & 1) for a in range(1 << n)
+            ]
+            kind = rng.randrange(4)
+            if kind == 1:
+                values[rng.randrange(1 << n)] = rng.randrange(1 << m)
+            elif kind == 2:
+                a, b = rng.sample(range(1 << n), 2)
+                values[a], values[b] = values[b], values[a]
+            elif kind == 3:
+                values = [rng.randrange(1 << m) for _ in range(1 << n)]
+            e = Embedding.from_values(n, m, tuple(values))
+            fam = SetFamily.from_sets(
+                CubeSpace(m), [v for v in range(1 << m) if v in values or rng.random() < 0.2]
+            )
+            for family in (None, fam if rng.random() < 0.9 else random_family(m, rng)):
+                want = oracles.verify_embedding_loop(e, family)
+                got = verify_embedding(e, family)
+                assert got.ok == want.ok, (values, family)
+                verdicts[got.ok] += 1
+                if not want.ok and "order" not in want.violation and "gap" not in want.violation:
+                    assert got.violation == want.violation
+        assert min(verdicts.values()) > 1000
+
+    def test_checks_n12_in_milliseconds(self):
+        e = Embedding.from_values(12, 12, tuple(range(1 << 12)))
+        start = time.perf_counter()
+        assert verify_embedding(e, full_family(12)).ok
+        assert time.perf_counter() - start < 0.2
 
     def test_image_of(self):
         from cuberamsey import ElementSet
@@ -754,28 +803,171 @@ class TestBudget:
         assert out.status == "found"
 
     def test_running_find_beats_earlier_deadline_hit(self, monkeypatch):
-        # The pool's first result is turned into a deadline hit.  The second
-        # task was submitted with it and finds a copy: that find still wins.
-        # The pool waits on its head alone, so the head is folded before the
-        # pool could refill a slot freed by the second task ending first.
-        pooled = search._pooled
-        wait = concurrent.futures.wait
-        monkeypatch.setattr(concurrent.futures, "wait", lambda fs, return_when: wait(fs[:1]))
-        submitted = []
+        # Both root pairs below hold a copy and are large, so each is a
+        # submission of its own: the calling process runs the first and a
+        # worker the second.  The first task's find is turned into a
+        # deadline hit; the second, in flight when the hit comes, still
+        # finds a copy, and that find wins.  No further task is taken.
+        fam = SetFamily.from_sets(
+            CubeSpace(4), [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
+        )
+        engine = search._Engine(fam, 2, "first", True, None)
+        first, second = [t[:2] for t in islice(engine._root_pairs(search._family_swaps(fam)), 2)]
+        run, submission = search._Engine.run, search._submission
 
-        def first_task_hits(args, tasks, workers):
-            results = pooled(args, (submitted.append(t) or t for t in tasks), workers)
-            _, _, nodes, hits, _ = next(results)
-            yield None, 0, nodes, hits, True
-            yield from results
+        def first_task_hits(self, task):
+            found, count, nodes, hits, hit = run(self, task)
+            if task[:2] == first:
+                return None, count, nodes, hits, True
+            return found, count, nodes, hits, hit
 
-        monkeypatch.setattr(search, "_pooled", first_task_hits)
-        fam = full_family(4)
+        taken = []
+
+        def recorded(tasks, n):
+            batch = submission(tasks, n)
+            taken.extend(task[:2] for task in batch)
+            return batch
+
+        monkeypatch.setattr(search._Engine, "run", first_task_hits)
+        monkeypatch.setattr(search, "_submission", recorded)
         out = find_copy(fam, 2, workers=2)
         assert out.status == "found"
-        assert out.embedding.image_values[-1] == 0b0111
-        # The hit stopped the walk: only the two tasks in flight then ran.
-        assert [t[:2] for t in submitted] == [(0, 0b0011), (0, 0b0111)]
+        assert out.embedding.image_values[-1] == second[1]
+        assert taken == [first, second]
+
+
+def no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that blocks for 30 s instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the search blocked")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestPool:
+    def test_worker_exit_raises(self, monkeypatch, alarm):
+        # The first task a forked worker runs ends that worker.
+        fam = make_c0(4).color_class(Color.RED)
+        caller, run = os.getpid(), search._Engine.run
+
+        def worker_exits(self, task):
+            if os.getpid() != caller:
+                os._exit(1)
+            return run(self, task)
+
+        monkeypatch.setattr(search._Engine, "run", worker_exits)
+        with pytest.raises(ChildProcessError, match="exited during a task"):
+            find_copy(fam, 4, workers=2)
+        assert no_children_left()
+
+    def test_earlier_find_abandons_own_task(self, monkeypatch, alarm):
+        # The calling process runs the first task (made to miss) and the
+        # third, which would spin for 10 s; the worker finds a copy in the
+        # second.  That find comes before the third task in task order, so
+        # the calling process abandons it at its next checkpoint.
+        fam = SetFamily.from_sets(
+            CubeSpace(4), [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
+        )
+        engine = search._Engine(fam, 2, "first", True, None)
+        first, second, third = [
+            t[:2] for t in islice(engine._root_pairs(search._family_swaps(fam)), 3)
+        ]
+        caller, run = os.getpid(), search._Engine.run
+
+        def run_slowly(self, task):
+            if task[:2] == first:
+                return None, 0, 1, task[3], False
+            if task[:2] == second:
+                time.sleep(0.2)
+            if task[:2] == third and os.getpid() == caller:
+                end = time.monotonic() + 10.0
+                while time.monotonic() < end:
+                    self._tick(256)
+            return run(self, task)
+
+        monkeypatch.setattr(search._Engine, "run", run_slowly)
+        start = time.monotonic()
+        out = find_copy(fam, 2, workers=2)
+        assert time.monotonic() - start < 5.0
+        assert out.status == "found"
+        assert out.embedding.image_values[-1] == second[1]
+        assert no_children_left()
+
+    def test_every_worker_is_reaped(self, monkeypatch, alarm):
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        cases = [
+            (planted_c0_n4(*PLANTED[3]), 4, None, "found"),
+            (make_c0(4).color_class(Color.BLUE), 4, None, "absent"),
+            (make_c0(5).color_class(Color.RED), 5, 20.0, "inconclusive"),
+        ]
+        for fam, n, budget, status in cases:
+            forks.clear()
+            assert find_copy(fam, n, budget_ms=budget, workers=3).status == status
+            assert forks
+            assert no_children_left()
+
+    def test_without_fork_the_search_runs_in_process(self, monkeypatch):
+        fam = make_c0(4).color_class(Color.RED)
+        seq = find_copy(fam, 4, workers=1)
+        monkeypatch.delattr(os, "fork")
+        par = find_copy(fam, 4, workers=2)
+        assert (par.status, par.nodes_explored, par.prune_hits) == (
+            seq.status, seq.nodes_explored, seq.prune_hits
+        )
+
+    def test_import_loads_no_process_pool(self):
+        import cuberamsey
+
+        code = (
+            "import sys, cuberamsey.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberamsey.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_submissions(self):
+        # n = 2: a root gap of 2, or of 3 above a non-empty bottom, is small;
+        # 3 above the empty bottom, or 4, is large and ends a submission.
+        tasks = iter([(1, 7), (1, 15), (0, 7), (0, 3), (0, 15), *[(0, 3)] * 40])
+        assert search._submission(tasks, 2) == [(1, 7), (1, 15), (0, 7)]
+        assert search._submission(tasks, 2) == [(0, 3), (0, 15)]
+        assert len(search._submission(tasks, 2)) == search._BATCH
+        assert len(search._submission(tasks, 2)) == 40 - search._BATCH
+        assert search._submission(tasks, 2) == []
+
+    def test_message_framing(self):
+        read, write = os.pipe()
+        search._send(write, [(1, 2), {"a": 3}])
+        assert search._receive(read) == [(1, 2), {"a": 3}]
+        os.write(write, (10).to_bytes(4, "little") + b"abc")
+        os.close(write)
+        with pytest.raises(EOFError):
+            search._receive(read)
+        assert search._receive(read) is None
+        os.close(read)
 
 
 class TestMonochromaticSearch:
