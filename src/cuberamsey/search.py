@@ -97,18 +97,17 @@ task; a root-pair rejection counts to the task after it in the walk (after
 the last task, at exhaustion), and a found outcome counts the tasks up to
 and including the find, so no counter depends on the worker count.
 
-Work splitting.  Tasks are handed out in submissions: runs of consecutive
-tasks that end at the first large one (root gap |t| - |b| above n + 1, or
-n + 1 from the empty bottom) or after _BATCH tasks.  With more than one
-worker the calling process runs submissions itself and forks up to
-workers - 1 workers, which inherit the engine and exchange pickled
-submissions and results with it over pipes.  It forks only when it is
-about to run a large task or its second submission, so a search decided
-by the small tasks at the head of the walk starts no process.  Each
-process holds one submission at a time, so at most ``workers`` large
-tasks are in flight and an idle worker is handed the next submission at
-once: the calling process serves the workers at its engine's checkpoints.
-Results are folded in task order whichever process ran them.
+Work splitting.  Every search runs one task loop (_results), whatever the
+worker count.  The calling process runs the head of the walk itself: the
+tasks before the first large one (root gap |t| - |b| above n + 1, or
+n + 1 from the empty bottom), at most _BATCH of them, and with one worker
+every task.  So a search decided at the head starts no process.  After
+the head the calling process runs no task: it walks the root pairs,
+forks up to ``workers`` workers, which inherit the engine, and hands each
+one submission at a time over a pipe.  A submission is a run of
+consecutive tasks that ends at the first large one or after _BATCH tasks,
+so at most ``workers`` large tasks are in flight.  Results come back as
+pickles and are folded in task order whichever process ran them.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
+from itertools import chain
 from math import comb, factorial
 
 import numpy as np
@@ -372,8 +371,8 @@ class _Engine:
         self.order, self.children, self.probes = _prepare_sources(n)
         self.positions = len(self.order)
         # _extend recurses once per position, 2^n deep, past the default
-        # limit of 1,000 from n = 10 on.  Only ever raised, here and in
-        # every pool worker, each of which builds its own engine.
+        # limit of 1,000 from n = 10 on.  Only ever raised; forked workers
+        # inherit the raised limit with the engine.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), self.positions + 1000))
         self.sizes = [s.bit_count() for s in self.order]
         # Positions 2..n+1 hold the singletons; each image after the first
@@ -382,9 +381,6 @@ class _Engine:
         self.mode = mode
         self.prune = prune
         self.deadline = deadline
-        # Run about every 256 units of work (_tick): the deadline check,
-        # or a pool's service of its workers, which checks it too.
-        self.checkpoint = None if deadline is None else self._check_deadline
         self.low_lists: dict[tuple[int, int, int], list[int]] = {}
         self.cached_entries = 0
         self.images = [0] * self.positions
@@ -413,16 +409,18 @@ class _Engine:
         since the previous task), ascending: pairs of members with bottom
         strictly inside top, less the root-gap rejections (prune only) and
         the pairs that are not the minimum of their orbit under the swaps.
-        Rejections after the last task stay in self.rest; a deadline hit
-        ends the walk and sets self.walk_hit.  The first pair met of an
+        Once the walk ends, self.rest holds the rejections after the last
+        task (until then, none: they belong to a task not yet yielded, and
+        the dict a task carries is not reused); a deadline hit ends the
+        walk and sets self.walk_hit.  The first pair met of an
         orbit is its minimum; its orbit is closed breadth-first, and the
         other members wait in pending until they are met and skipped, so
         memory grows only with the open orbits."""
         members = self.members
         sizes = np.bitwise_count(members)
         pending: set[tuple[int, int]] = set()
-        hits = self.rest = dict.fromkeys(_PRUNE_NAMES, 0)
-        self.walk_hit = False
+        hits = dict.fromkeys(_PRUNE_NAMES, 0)
+        self.rest, self.walk_hit = dict.fromkeys(_PRUNE_NAMES, 0), False
         try:
             for i, b in enumerate(members.tolist()):
                 self._tick(len(members))
@@ -452,22 +450,19 @@ class _Engine:
                     orbit.remove((b, t))
                     pending |= orbit
                     yield b, t, len(orbit) + 1, hits
-                    hits = self.rest = dict.fromkeys(_PRUNE_NAMES, 0)
+                    hits = dict.fromkeys(_PRUNE_NAMES, 0)
         except _DeadlineHit:
             self.walk_hit = True
+        self.rest = hits
 
     def _tick(self, work: int = 1) -> None:
-        """Count work (candidates walked, root pairs and orbit steps) and run
-        the checkpoint once about every 256 units."""
+        """Count work (candidates walked, root pairs and orbit steps) and
+        check the deadline once about every 256 units."""
         self._work += work
         if self._work >= 256:
             self._work = 0
-            if self.checkpoint is not None:
-                self.checkpoint()
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _DeadlineHit
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise _DeadlineHit
 
     def _extend(self, k: int) -> bool:
         if k == self.positions:
@@ -512,8 +507,7 @@ class _Engine:
             lows = low_lists.get(key)
             if lows is None:
                 lows = self._low_list(key)
-            # _tick inlined: a call per chunk slows the calling process of a
-            # pool, whose checkpoint is set, by several per cent.
+            # _tick inlined, to save a call per chunk.
             self._work += len(lows) + 1
             if self._work >= 256:
                 self._tick(0)
@@ -577,38 +571,6 @@ def _submission(tasks, n: int) -> list:
     return batch
 
 
-def _send(fd: int, obj) -> None:
-    """Write obj to a pipe as its pickle's 4-byte length, then the pickle."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(4, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd: int, size: int) -> bytes:
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _receive(fd: int):
-    """Read one object written by _send; None if the writer closed the pipe
-    before its length.  A message cut short raises EOFError."""
-    head = _read(fd, 4)
-    if not head:
-        return None
-    size = int.from_bytes(head, "little")
-    data = _read(fd, size)
-    if len(head) < 4 or len(data) < size:
-        raise EOFError("search worker message cut short")
-    return pickle.loads(data)
-
-
 def _run_batch(engine: _Engine, batch: list) -> list:
     """Run a submission's tasks in order, up to and including the first
     find or deadline hit."""
@@ -620,14 +582,16 @@ def _run_batch(engine: _Engine, batch: list) -> list:
     return results
 
 
-def _fork(engine: _Engine, inherited: list[int], sent) -> tuple[int, int, int]:
+def _fork(engine: _Engine, inherited: list[int]):
     """Fork a worker that runs the submissions sent to it on the engine it
-    inherits, until its task pipe closes, and sets sent[0] after each batch
-    of results it sends; return its pid and the parent's ends of its task
-    and result pipes.  The worker closes the inherited descriptors (the
-    parent's ends of the other workers' pipes), so that each worker alone
-    holds its own pipes, and ignores Ctrl-C, which the parent handles by
-    ending it."""
+    inherits, until its task pipe closes; return its pid and the parent's
+    ends of its task and result pipes, as buffered files.  Each message is
+    one pickle, and a pipe holds at most one at a time: a worker is sent a
+    submission only after it has returned the results of the last.  So a
+    buffered reader never holds back a message that select would miss.
+    The worker closes the inherited descriptors (the parent's ends of the
+    other workers' pipes), so that each worker alone holds its own pipes,
+    and ignores Ctrl-C, which the parent handles by ending it."""
     import signal
 
     task_read, task_write = os.pipe()
@@ -639,9 +603,14 @@ def _fork(engine: _Engine, inherited: list[int], sent) -> tuple[int, int, int]:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             for fd in (task_write, result_read, *inherited):
                 os.close(fd)
-            while (batch := _receive(task_read)) is not None:
-                _send(result_write, _run_batch(engine, batch))
-                sent[0] = 1
+            tasks, results = open(task_read, "rb"), open(result_write, "wb")
+            while True:
+                try:
+                    batch = pickle.load(tasks)
+                except EOFError:
+                    break
+                pickle.dump(_run_batch(engine, batch), results, pickle.HIGHEST_PROTOCOL)
+                results.flush()
             code = 0
         except BaseException:
             import traceback
@@ -654,171 +623,89 @@ def _fork(engine: _Engine, inherited: list[int], sent) -> tuple[int, int, int]:
             os._exit(code)
     os.close(task_read)
     os.close(result_write)
-    return pid, task_write, result_read
+    return pid, open(task_write, "wb"), open(result_read, "rb")
 
 
-class _Abandon(Exception):
-    """A worker found a copy in a submission before the calling process's."""
+def _results(engine: _Engine, tasks, workers: int):
+    """Run the tasks and yield their results in task order, up to the first
+    find or deadline hit that comes back.
 
+    The calling process runs the head of the walk itself: the tasks before
+    the first large one, at most _BATCH of them, or every task with one
+    worker.  After the head it runs no task.  It hands each worker one
+    submission at a time, forking a worker (after the engine is built, so
+    nothing is pickled at start) only when a submission is ready and no
+    worker is idle, up to ``workers``, and waits for results in select.
+    Once a find or a deadline hit has come back no further task is taken.
+    Closing the generator closes the pipes, kills the workers still running
+    a task and reaps every worker.  A worker that exits before returning
+    its results raises ChildProcessError."""
+    for head, task in enumerate(tasks):
+        if workers > 1 and (head == _BATCH or _large(task, engine.n)):
+            break
+        yield (result := engine.run(task))
+        if result[0] is not None or result[4]:
+            return
+    else:
+        return
+    import select
+    import signal
 
-class _Pool:
-    """One search's tasks run by the calling process and up to workers - 1
-    forked workers, one submission at a time each, so at most ``workers``
-    large tasks are in flight and the walk stays close to the fold.
-
-    The calling process runs the small tasks at the head of the walk by
-    itself; workers are forked, after the engine is built (so nothing is
-    pickled at start), only when it is about to run a large task or its
-    second submission.  While it runs a task it serves the workers at the
-    engine's checkpoints: it reads the results they have sent and hands
-    the idle ones the next submissions.  Once a find or a deadline hit has
-    come back no further task is taken, and a find in an earlier
-    submission abandons the calling process's own.  ``results`` yields the
-    results in task order; closing it closes the pipes, kills the workers
-    still running a task and reaps every worker.  A worker that exits
-    before returning its results raises ChildProcessError."""
-
-    def __init__(self, engine: _Engine, tasks, workers: int) -> None:
-        import mmap
-        import select
-
-        self.select = select.select
-        # A byte shared with the workers, set by one after it sends results
-        # and cleared here before reading them, so that a checkpoint with
-        # nothing to read makes no system call.
-        self.sent = mmap.mmap(-1, 1)
-        self.engine = engine
-        self.tasks = tasks
-        self.workers = workers
-        self.clock = engine.checkpoint  # the deadline check, or None
-        self.pids: list[int] = []
-        self.fds: list[int] = []
-        self.idle: list[tuple[int, int, int]] = []
-        self.busy: dict[int, tuple[int, int, list]] = {}  # result fd -> pid, task fd, slot
-        self.slots = deque()  # [number, results or None] per submission, in task order
-        self.taken = 0
-        self.stop = False
-        self.found_at = float("inf")  # the first submission known to hold a find
-        self.own = None  # the calling process's current submission
-
-    def _take(self) -> tuple[list, list | None]:
-        """The next submission and its slot; ([], None) once none is left."""
-        batch = [] if self.stop else _submission(self.tasks, self.engine.n)
-        if not batch:
-            return batch, None
-        slot = [self.taken, None]
-        self.taken += 1
-        self.slots.append(slot)
-        return batch, slot
-
-    def _fill(self, slot: list, results: list) -> None:
-        slot[1] = results
-        if results:
-            found, *_, hit = results[-1]
-            if found is not None:
-                self.found_at = min(self.found_at, slot[0])
-            self.stop = self.stop or found is not None or hit
-
-    def _give(self, fork: bool) -> None:
-        """Hand a submission to every idle worker, and with fork=True to new
-        workers up to workers - 1."""
-        while self.idle or fork and len(self.pids) < self.workers - 1:
-            batch, slot = self._take()
-            if not batch:
-                return
-            if self.idle:
-                pid, task_fd, result_fd = self.idle.pop()
-            else:
-                pid, task_fd, result_fd = _fork(self.engine, self.fds, self.sent)
-                self.pids.append(pid)
-                self.fds += task_fd, result_fd
-            _send(task_fd, batch)
-            self.busy[result_fd] = pid, task_fd, slot
-
-    def _collect(self, ready: list[int]) -> None:
-        """Read the results of the workers whose result pipes are ready."""
-        for result_fd in ready:
-            pid, task_fd, slot = self.busy.pop(result_fd)
-            self.idle.append((pid, task_fd, result_fd))
-            results = _receive(result_fd)
-            if results is None:
-                raise ChildProcessError(f"search worker {pid} exited during a task")
-            self._fill(slot, results)
-
-    def _serve(self) -> None:
-        """The engine's checkpoint while the calling process runs a task.
-        The walk, advanced here, sees only the deadline check."""
-        if self.sent[0] or self.idle:
-            self.sent[0] = 0
-            self.engine.checkpoint = self.clock
-            try:
-                self._collect(self.select(list(self.busy), [], [], 0)[0])
-                self._give(fork=False)
-            finally:
-                self.engine.checkpoint = self._serve
-            if self.found_at < self.own:
-                raise _Abandon
-        if self.clock is not None:
-            self.clock()
-
-    def _run_own(self, batch: list) -> list:
-        """Run a submission here, as _run_batch does, serving the workers at
-        the engine's checkpoints.  Workers are forked before a large task or
-        any task after the first submission, never inside the engine."""
-        results = []
-        for task in batch:
-            if self.own or _large(task, self.engine.n):
-                self._give(fork=True)
-            self.engine.checkpoint = self._serve
-            try:
-                results.append(result := self.engine.run(task))
-            except _Abandon:
-                break
-            finally:
-                self.engine.checkpoint = self.clock
-            if result[0] is not None or result[4]:
-                break
-        return results
-
-    def results(self):
-        import signal
-
-        try:
-            while True:
-                while self.slots and self.slots[0][1] is not None:
-                    yield from self.slots.popleft()[1]
-                batch, slot = self._take()
-                if batch:
-                    self.own = slot[0]
-                    self._fill(slot, self._run_own(batch))
-                elif self.busy:
-                    self._collect(self.select(list(self.busy), [], [])[0])
+    tasks = chain([task], tasks)
+    pids, files = [], []
+    idle = []  # pid, task file, result file
+    busy = {}  # result file -> pid, task file, slot
+    slots = deque()  # [results], or [None] until they are back, in task order
+    stop = False
+    try:
+        while True:
+            while slots and slots[0][0] is not None:
+                yield from slots.popleft()[0]
+            while not stop and (idle or len(pids) < workers):
+                batch = _submission(tasks, engine.n)
+                if not batch:
+                    stop = True
+                    break
+                if idle:
+                    pid, task_file, result_file = idle.pop()
                 else:
-                    return
-        finally:
-            self.sent.close()
-            for fd in self.fds:
-                os.close(fd)
-            for pid, _, _ in self.busy.values():
-                os.kill(pid, signal.SIGKILL)
-            for pid in self.pids:
-                os.waitpid(pid, 0)
+                    pid, task_file, result_file = _fork(engine, [f.fileno() for f in files])
+                    pids.append(pid)
+                    files += task_file, result_file
+                pickle.dump(batch, task_file, pickle.HIGHEST_PROTOCOL)
+                task_file.flush()
+                slots.append(slot := [None])
+                busy[result_file] = pid, task_file, slot
+            if not busy:
+                return
+            for result_file in select.select(list(busy), [], [])[0]:
+                pid, task_file, slot = busy.pop(result_file)
+                try:
+                    slot[0] = pickle.load(result_file)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(f"search worker {pid} exited during a task") from None
+                idle.append((pid, task_file, result_file))
+                found, *_, hit = slot[0][-1]
+                stop = stop or found is not None or hit
+    finally:
+        for f in files:
+            f.close()
+        for pid, _, _ in busy.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _search(
     family: SetFamily, n: int, mode: str, prune: bool, deadline: float | None,
     swaps: list[tuple[int, int]], workers: int,
 ) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
-    """Walk the root pairs once, run the tasks here (one worker) or on a
-    pool, and fold them in task order up to the first find: (find, count,
-    nodes, prune hits, deadline hit).  A deadline hit starts no more tasks."""
+    """Walk the root pairs once, run them as tasks (_results) and fold the
+    results in task order up to the first find: (find, count, nodes, prune
+    hits, deadline hit)."""
     engine = _Engine(family, n, mode, prune, deadline)
     found, count, nodes, hit, hits = None, 0, 0, False, dict.fromkeys(_PRUNE_NAMES, 0)
-    tasks = takewhile(lambda _: not hit, engine._root_pairs(swaps))
-    if workers <= 1:
-        results = (engine.run(t) for t in tasks)
-    else:
-        results = _Pool(engine, tasks, workers).results()
+    results = _results(engine, engine._root_pairs(swaps), workers)
     try:
         for found, task_count, task_nodes, task_hits, task_hit in results:
             count += task_count
@@ -854,15 +741,17 @@ def find_copy(
     n > MAX_SOURCE_N raises ValueError before any worker starts.  The root
     pairs to search (with prune=True only the orbit representatives under
     the verified automorphisms of the family) are walked once, ascending,
-    and each is one task.  The tasks run in this process and, with
-    workers > 1, on up to workers - 1 forked processes (none without
-    os.fork), and are folded in task order, so outcomes, witnesses and
-    counters do not depend on the worker count.  A found outcome counts
-    the tasks up to and including the find; workers still running then are
-    killed, and every worker is reaped before the outcome is returned.  A
-    worker that dies mid-task raises ChildProcessError.  The budget also
-    covers the automorphism checks before the walk.  A budget hit starts
-    no more tasks, but a find by a task still running wins over it.
+    and each is one task.  This process runs the small tasks at the head
+    of the walk; with workers > 1 it then runs none, but hands the rest to
+    up to ``workers`` forked processes (none without os.fork), forked only
+    once the head is past, and waits for their results.  Results are
+    folded in task order, so outcomes, witnesses and counters do not
+    depend on the worker count.  A found outcome counts the tasks up to
+    and including the find; workers still running then are killed, and
+    every worker is reaped before the outcome is returned.  A worker that
+    dies mid-task raises ChildProcessError.  The budget also covers the
+    automorphism checks before the walk.  A budget hit starts no more
+    tasks, but a find by a task still running wins over it.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")

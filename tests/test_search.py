@@ -2,6 +2,7 @@
 pruning equivalence, worker determinism, and budget semantics."""
 
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -798,16 +799,41 @@ class TestBudget:
         assert elapsed < 2.0
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hit_counts_only_the_tasks_run(self, monkeypatch, workers):
+        # A deadline hit in the third task, which the calling process runs
+        # at the head of the walk: the counters are those of the first three
+        # tasks, with no root-pair rejection of a task not run.
+        fam = make_c0(4).color_class(Color.BLUE)
+        engine = search._Engine(fam, 4, "first", True, None)
+        tasks = list(islice(engine._root_pairs(search._family_swaps(fam)), 3))
+        assert not any(search._large(task, 4) for task in tasks)
+        nodes, hits = 0, dict.fromkeys(PRUNE_NAMES, 0)
+        for task in tasks:
+            _, _, task_nodes, task_hits, _ = engine.run(task)
+            nodes += task_nodes
+            hits = {name: hits[name] + task_hits[name] for name in PRUNE_NAMES}
+        run = search._Engine.run
+
+        def third_task_hits(self, task):
+            *result, hit = run(self, task)
+            return (*result, hit or task[:2] == tasks[2][:2])
+
+        monkeypatch.setattr(search._Engine, "run", third_task_hits)
+        out = find_copy(fam, 4, workers=workers)
+        assert out.status == "inconclusive"
+        assert (out.nodes_explored, out.prune_hits) == (nodes, hits)
+
     def test_found_beats_budget(self):
         out = find_copy(full_family(3), 2, budget_ms=60000.0)
         assert out.status == "found"
 
     def test_running_find_beats_earlier_deadline_hit(self, monkeypatch):
         # Both root pairs below hold a copy and are large, so each is a
-        # submission of its own: the calling process runs the first and a
-        # worker the second.  The first task's find is turned into a
-        # deadline hit; the second, in flight when the hit comes, still
-        # finds a copy, and that find wins.  No further task is taken.
+        # submission of its own, and each goes to a worker of its own.  The
+        # first task's find is turned into a deadline hit; the second, in
+        # flight when the hit comes, still finds a copy, and that find wins.
+        # No further task is taken.
         fam = SetFamily.from_sets(
             CubeSpace(4), [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
         )
@@ -845,6 +871,20 @@ def no_children_left() -> bool:
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """The values os.fork returns in the test's process while it runs."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
 def alarm():
     """Fail a test that blocks for 30 s instead of hanging the suite."""
     def expire(signum, frame):
@@ -873,26 +913,29 @@ class TestPool:
             find_copy(fam, 4, workers=2)
         assert no_children_left()
 
-    def test_earlier_find_abandons_own_task(self, monkeypatch, alarm):
-        # The calling process runs the first task (made to miss) and the
-        # third, which would spin for 10 s; the worker finds a copy in the
-        # second.  That find comes before the third task in task order, so
-        # the calling process abandons it at its next checkpoint.
+    def test_earlier_find_kills_running_task(self, monkeypatch, alarm):
+        # The first two root pairs below are large, so the calling process
+        # runs no task and each goes to a worker as a submission of its own.
+        # The first task is made to miss at once, so its worker is handed
+        # the next submission, whose first task, the third, spins for 10 s;
+        # the other worker finds a copy in the second.  That find comes
+        # before the third task in task order, so the search returns
+        # without waiting for the third and kills the worker running it.
         fam = SetFamily.from_sets(
             CubeSpace(4), [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
         )
         engine = search._Engine(fam, 2, "first", True, None)
-        first, second, third = [
-            t[:2] for t in islice(engine._root_pairs(search._family_swaps(fam)), 3)
-        ]
-        caller, run = os.getpid(), search._Engine.run
+        tasks = list(islice(engine._root_pairs(search._family_swaps(fam)), 3))
+        assert search._large(tasks[0], 2) and search._large(tasks[1], 2)
+        first, second, third = [task[:2] for task in tasks]
+        run = search._Engine.run
 
         def run_slowly(self, task):
             if task[:2] == first:
                 return None, 0, 1, task[3], False
             if task[:2] == second:
                 time.sleep(0.2)
-            if task[:2] == third and os.getpid() == caller:
+            if task[:2] == third:
                 end = time.monotonic() + 10.0
                 while time.monotonic() < end:
                     self._tick(256)
@@ -906,15 +949,7 @@ class TestPool:
         assert out.embedding.image_values[-1] == second[1]
         assert no_children_left()
 
-    def test_every_worker_is_reaped(self, monkeypatch, alarm):
-        forks, fork = [], os.fork
-
-        def counted():
-            pid = fork()
-            forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
+    def test_every_worker_is_reaped(self, forks, alarm):
         cases = [
             (planted_c0_n4(*PLANTED[3]), 4, None, "found"),
             (make_c0(4).color_class(Color.BLUE), 4, None, "absent"),
@@ -923,8 +958,27 @@ class TestPool:
         for fam, n, budget, status in cases:
             forks.clear()
             assert find_copy(fam, n, budget_ms=budget, workers=3).status == status
-            assert forks
+            assert 1 <= len(forks) <= 3
             assert no_children_left()
+
+    def test_forks_only_past_the_head(self, forks, alarm):
+        # These searches are decided by the small tasks at the head of the
+        # walk, which the calling process runs itself.
+        decided = [(planted_c0_n4(*plant), 4) for plant in PLANTED[:3]]
+        decided.append((make_layered(5).color_class(Color.RED), 3))
+        blue = make_c0(4).color_class(Color.BLUE)
+        for workers in (2, 3):
+            for fam, n in decided:
+                forks.clear()
+                find_copy(fam, n, workers=workers)
+                assert forks == []
+            forks.clear()
+            assert find_copy(blue, 4, workers=workers).status == "absent"
+            assert 1 <= len(forks) <= workers
+        forks.clear()
+        for fam, n in [*decided, (blue, 4)]:
+            find_copy(fam, n, workers=1)
+        assert forks == []
 
     def test_without_fork_the_search_runs_in_process(self, monkeypatch):
         fam = make_c0(4).color_class(Color.RED)
@@ -958,16 +1012,22 @@ class TestPool:
         assert len(search._submission(tasks, 2)) == 40 - search._BATCH
         assert search._submission(tasks, 2) == []
 
-    def test_message_framing(self):
-        read, write = os.pipe()
-        search._send(write, [(1, 2), {"a": 3}])
-        assert search._receive(read) == [(1, 2), {"a": 3}]
-        os.write(write, (10).to_bytes(4, "little") + b"abc")
-        os.close(write)
-        with pytest.raises(EOFError):
-            search._receive(read)
-        assert search._receive(read) is None
-        os.close(read)
+    def test_result_cut_short_raises(self, monkeypatch, alarm):
+        # A worker writes the first half of its first result, then exits.
+        caller, dump = os.getpid(), pickle.dump
+
+        def cut_short(obj, file, *args):
+            if os.getpid() == caller:
+                return dump(obj, file, *args)
+            data = pickle.dumps(obj, *args)
+            file.write(data[: len(data) // 2])
+            file.flush()
+            os._exit(1)
+
+        monkeypatch.setattr(pickle, "dump", cut_short)
+        with pytest.raises(ChildProcessError, match="exited during a task"):
+            find_copy(make_c0(4).color_class(Color.RED), 4, workers=2)
+        assert no_children_left()
 
 
 class TestMonochromaticSearch:
