@@ -287,8 +287,8 @@ def cmd_brute_ramsey(args) -> int:
         if res.good_coloring is None:
             value = f"none checked={res.colorings_checked}"
         else:
-            index = res.good_coloring.scheme.rpartition("-")[2]
-            value = f"good index={index} checked={res.colorings_checked}"
+            # The good coloring is the last one checked.
+            value = f"good index={res.colorings_checked - 1} checked={res.colorings_checked}"
         pairs.append((f"m={res.m}", value))
     pairs.append(("value", str(scan.value) if scan.value is not None else "unresolved"))
     return _finish(args, pairs, start, EXIT_OK, args.out)

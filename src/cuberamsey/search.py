@@ -36,6 +36,26 @@ subset of B exactly when f(A) is a subset of f(B).
      the earlier incomparable sources are exactly its probes.
 So neither candidates, nodes nor counters change; this is not a prune.
 
+Images must also be distinct, yet the only reuse test is x against the
+bottom and the top: no other earlier image can be accepted as x.
+Proof.  Let A be an earlier source other than the bottom and the top,
+with f(A) = x.
+  * A is incomparable with s: f(A) is inside x, so a probe rejects x
+    (point 3).
+  * A is a proper subset of s: then |s| >= 2, and A lies inside a child C
+    of s (point 2).  The two or more children of s are pairwise
+    incomparable, and so are their images; so f(C) is strictly inside u,
+    which is inside x.
+  * The top is the only earlier proper superset of s (point 1).
+That leaves the bottom and the top, which the comparison rejects; it is
+needed only at s = {1}.  With prune=True the cardinality window already
+gives |f(bottom)| < |x| < |f(top)|, as 0 < |s| < n.  With prune=False
+f(bottom) lies inside, and f(top) contains, every singleton image, and
+every source but {1} has a probe (an i outside s comes before s, or {1}
+before a later singleton); so only at {1} can w = 0 give f(bottom), or
+w = d give f(top).  Reuse rejections have no counter, so nodes and
+counters are as with a test against every earlier image.
+
 With prune=True four provable reductions apply; prune=False walks the
 plain tree, and outcomes, first-mode witnesses and counts are the same
 either way.
@@ -91,11 +111,12 @@ Reported node counts follow a fixed convention: one node per searched
 (bottom, top) root pair and one per accepted inner assignment.  Root pairs
 are checked for the root gap before target symmetry, and candidates run
 their checks in a fixed order (cardinality window, source symmetry,
-membership, reuse, incomparability), so prune hit counts are reproducible;
-they audit completed exhaustions.  Each representative root pair is one
-task; a root-pair rejection counts to the task after it in the walk (after
-the last task, at exhaustion), and a found outcome counts the tasks up to
-and including the find, so no counter depends on the worker count.
+membership, the root pair, incomparability), so prune hit counts are
+reproducible; they audit completed exhaustions.  Each representative
+root pair is one task; a root-pair rejection counts to the task after it
+in the walk (after the last task, at exhaustion), and a found outcome
+counts the tasks up to and including the find, so no counter depends on
+the worker count.
 
 Work splitting.  Every search runs one task loop (_results), whatever the
 worker count.  The calling process runs the head of the walk itself: the
@@ -384,7 +405,6 @@ class _Engine:
         self.low_lists: dict[tuple[int, int, int], list[int]] = {}
         self.cached_entries = 0
         self.images = [0] * self.positions
-        self.used: set[int] = set()
         self._work = 0
 
     def run(self, task) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
@@ -394,7 +414,6 @@ class _Engine:
         b, t, orbit, self.prune_hits = task
         self.nodes, self.count, self.found = 1, 0, None
         self.images[:2] = b, t
-        self.used = {b, t}
         hit = False
         try:
             self._tick()
@@ -472,24 +491,24 @@ class _Engine:
             self.count += 1
             return False
         images = self.images
+        bottom, top = images[0], images[1]
         u = 0
         for j in self.children[k]:
             u |= images[j]
         # u lies inside the image of the top (module docstring, point 1).
-        d = images[1] ^ u
+        d = top ^ u
         hits = self.prune_hits
         if self.prune:
             # Window on |w| = |x| - |u| for the candidates x = u + w.
             pc_s = self.sizes[k]
             pc_u = u.bit_count()
-            lo = images[0].bit_count() + pc_s - pc_u
-            hi = images[1].bit_count() - (self.n - pc_s) - pc_u
+            lo = bottom.bit_count() + pc_s - pc_u
+            hi = top.bit_count() - (self.n - pc_s) - pc_u
             hits["cardinality-window"] += _window_skipped(d.bit_count(), lo, hi)
         else:
             lo, hi = 0, d.bit_count()
         floored = self.floored[k]
         member = self.member
-        used = self.used
         probes = self.probes[k]
         low_lists = self.low_lists
         # Chunks: w_high walks the submasks of d above its lowest _LOW_BITS
@@ -518,7 +537,8 @@ class _Engine:
                 lows = lows[start:]
             for w in lows:
                 x = base | w
-                if not member[x] or x in used:
+                # No other earlier image can be x (module docstring).
+                if not member[x] or x == bottom or x == top:
                     continue
                 ok = True
                 for j in probes:
@@ -530,10 +550,7 @@ class _Engine:
                 if ok:
                     self.nodes += 1
                     images[k] = x
-                    used.add(x)
-                    stop = self._extend(k + 1)
-                    used.discard(x)
-                    if stop:
+                    if self._extend(k + 1):
                         return True
             w_high = (w_high - high) & high
             if not w_high:
