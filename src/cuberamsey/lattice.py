@@ -137,11 +137,11 @@ def complement(s: ElementSet, space: CubeSpace) -> ElementSet:
 
 # Dense per-subset tables (index = encoded value).
 #
-# Every table holds a quantity that adds up (set size, pair counts) or XORs
-# up (odd-element parity) over disjoint bit ranges.  Split at an even bit k,
-# no pair straddles the split, so the table over 2^[m] is the outer sum of
-# the same quantity over the high m - k bits and the low k bits: the value
-# hi << k | lo is row hi, column lo of the outer table read row by row.
+# Every table is a rule on a set's size, its complete pairs and the parity
+# of its element sum (see ``profile_table``).  The three quantities add up
+# (the parity by XOR) over disjoint bit ranges, and split at an even bit k
+# no pair straddles the split, so the value hi << k | lo has the profile of
+# hi over the high m - k bits combined with that of lo over the low k bits.
 # Only the two half index tables, of 2^(m-k) and 2^k entries, are built.
 
 # Peak bytes per subset of a command that holds dense tables over 2^[m].
@@ -202,84 +202,64 @@ def index_table(m: int) -> np.ndarray:
     return idx
 
 
-def _split_table(m: int, half, combine=np.add) -> np.ndarray:
-    """The read-only table over 2^[m] of a quantity that ``combine`` adds up
-    over disjoint bit ranges.  ``half(idx, width)`` gives the quantity for
-    the values ``idx`` of a ``width``-bit range starting at an even bit.
-    Raises CapacityError, before allocating, as ``index_table`` does."""
-    _check_capacity(m)
-    k = m // 2 & ~1  # even: no pair straddles the split
-    high, low = half(index_table(m - k), m - k), half(index_table(k), k)
-    table = combine.outer(high, low).reshape(-1)
-    table.flags.writeable = False
-    return table
-
-
-def _pair_bits(idx: np.ndarray, width: int) -> np.ndarray:
+def _pair_bits(idx: np.ndarray) -> np.ndarray:
     return np.bitwise_count(idx & (idx >> np.uint32(1)) & np.uint32(_EVEN_POSITIONS))
 
 
-def _missed_pairs(idx: np.ndarray, width: int) -> np.ndarray:
-    hit = (idx | (idx >> np.uint32(1))) & np.uint32(_EVEN_POSITIONS)
-    return width // 2 - np.bitwise_count(hit)
-
-
-def _odd_parity(idx: np.ndarray, width: int) -> np.ndarray:
+def _odd_parity(idx: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(idx & np.uint32(_EVEN_POSITIONS)) & np.uint8(1)).astype(bool)
+
+
+def _profile_classes(idx: np.ndarray):
+    """The distinct (size, complete pairs, odd element sum) profiles of the
+    values ``idx`` of a bit range starting at an even bit, as int, int and
+    bool arrays, and the profile index of each value."""
+    key = np.bitwise_count(idx).astype(np.int64) << 8 | _pair_bits(idx)
+    classes, inverse = np.unique(key << 1 | _odd_parity(idx), return_inverse=True)
+    return (classes >> 9, classes >> 1 & 0xFF, (classes & 1).astype(bool)), inverse
+
+
+def profile_table(m: int, rule) -> np.ndarray:
+    """The read-only table over 2^[m] of ``rule(size, pairs, odd)``: a
+    function of a set's size, its number of complete pairs and whether its
+    element sum is odd, evaluated elementwise on int, int and bool arrays.
+    The table keeps the dtype of the rule's result.  The pairs are {1,2},
+    {3,4}, ...; on odd m the top element is in none.  (On even m the set
+    misses m // 2 - size + pairs pairs.)
+
+    Split at the even bit k = m // 2 & ~1, the rule is evaluated once per
+    pair of half profile classes (49 x 49 at m = 24), and each row of the
+    table, one value of the high half, is a copy of its class's row.
+    Raises CapacityError, before allocating, as ``index_table`` does."""
+    _check_capacity(m)
+    k = m // 2 & ~1  # even: no pair straddles the split
+    (size_h, pairs_h, odd_h), high = _profile_classes(index_table(m - k))
+    (size_l, pairs_l, odd_l), low = _profile_classes(index_table(k))
+    rows = rule(size_h[:, None] + size_l, pairs_h[:, None] + pairs_l, odd_h[:, None] ^ odd_l)
+    table = rows[:, low].take(high, axis=0).reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=8)
 def popcount_table(m: int) -> np.ndarray:
     """Set size per encoded value (uint8)."""
-    return _split_table(m, lambda idx, width: np.bitwise_count(idx))
+    return profile_table(m, lambda size, pairs, odd: size.astype(np.uint8))
 
 
 @lru_cache(maxsize=8)
 def pair_count_table(m: int) -> np.ndarray:
-    """Complete-pair count per encoded value (uint8; pairing of [m], m even)."""
-    return _split_table(m, _pair_bits)
+    """Complete-pair count per encoded value (uint8)."""
+    return profile_table(m, lambda size, pairs, odd: pairs.astype(np.uint8))
 
 
 @lru_cache(maxsize=8)
 def missed_count_table(m: int) -> np.ndarray:
-    """Missed-pair count per encoded value (uint8; pairing of [m], m even)."""
-    return _split_table(m, _missed_pairs)
+    """Missed-pair count per encoded value (uint8; m even)."""
+    return profile_table(m, lambda size, pairs, odd: (m // 2 - size + pairs).astype(np.uint8))
 
 
 @lru_cache(maxsize=8)
 def odd_sum_table(m: int) -> np.ndarray:
     """True where the element sum of the encoded set is odd."""
-    return _split_table(m, _odd_parity, np.bitwise_xor)
-
-
-def _profile_classes(idx: np.ndarray, width: int):
-    """The distinct (size, complete pairs, odd element sum) profiles of the
-    values ``idx`` of a ``width``-bit range starting at an even bit, as
-    int, int and bool arrays, and the profile index of each value."""
-    key = np.bitwise_count(idx).astype(np.int64) << 8 | _pair_bits(idx, width)
-    classes, inverse = np.unique(key << 1 | _odd_parity(idx, width), return_inverse=True)
-    return (classes >> 9, classes >> 1 & 0xFF, (classes & 1).astype(bool)), inverse
-
-
-def profile_table(m: int, rule) -> np.ndarray:
-    """The read-only table over 2^[m], m even, of ``rule(size, pairs,
-    odd)``: a function of a set's size, its number of complete pairs and
-    whether its element sum is odd, evaluated elementwise on int, int and
-    bool arrays.  The table keeps the dtype of the rule's result.  (The set
-    misses m/2 - size + pairs pairs.)
-
-    Split as in ``_split_table``, the three quantities add up (the parity
-    by XOR) over the two halves, so the rule is evaluated once per pair of
-    half profile classes (49 x 49 at m = 24), and each row of the table,
-    one value of the high half, is a copy of its class's row.  Raises
-    CapacityError, before allocating, as ``index_table`` does."""
-    if m % 2:
-        raise ValueError("profile tables need a paired space (m = 2n)")
-    _check_capacity(m)
-    k = m // 2 & ~1
-    (size_h, pairs_h, odd_h), high = _profile_classes(index_table(m - k), m - k)
-    (size_l, pairs_l, odd_l), low = _profile_classes(index_table(k), k)
-    rows = rule(size_h[:, None] + size_l, pairs_h[:, None] + pairs_l, odd_h[:, None] ^ odd_l)
-    table = rows[:, low].take(high, axis=0).reshape(-1)
-    table.flags.writeable = False
-    return table
+    return profile_table(m, lambda size, pairs, odd: odd)

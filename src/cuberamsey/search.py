@@ -654,8 +654,8 @@ def _results(engine: _Engine, tasks, workers: int):
     nothing is pickled at start) only when a submission is ready and no
     worker is idle, up to ``workers``, and waits for results in select.
     Once a find or a deadline hit has come back no further task is taken.
-    Closing the generator closes the pipes, kills the workers still running
-    a task and reaps every worker.  A worker that exits before returning
+    Closing the generator kills the workers still running a task, closes
+    the pipes and reaps every worker.  A worker that exits before returning
     its results raises ChildProcessError."""
     for head, task in enumerate(tasks):
         if workers > 1 and (head == _BATCH or _large(task, engine.n)):
@@ -705,10 +705,12 @@ def _results(engine: _Engine, tasks, workers: int):
                 found, *_, hit = slot[0][-1]
                 stop = stop or found is not None or hit
     finally:
-        for f in files:
-            f.close()
+        # Kill the busy workers before closing their pipes: one that ends
+        # its task in between must not die writing to a closed pipe.
         for pid, _, _ in busy.values():
             os.kill(pid, signal.SIGKILL)
+        for f in files:
+            f.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
@@ -775,16 +777,16 @@ def find_copy(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    if n > family.space.m:
-        # No injective size-respecting map exists once n exceeds m.
-        found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), False
-    else:
+    # No search ran: the outcome when n exceeds m, where no injective
+    # size-respecting map exists, or when the budget ends before the walk.
+    found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), False
+    if n <= family.space.m:
         deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         _prepare_sources(n)  # Past MAX_SOURCE_N this raises before any pool starts.
         try:
             swaps = _family_swaps(family, deadline) if prune else []
         except _DeadlineHit:
-            found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), True
+            hit = True
         else:
             # Worker processes are forked; without fork the search runs here.
             workers = min(workers, family.size) if hasattr(os, "fork") else 1

@@ -913,14 +913,14 @@ class TestPool:
             find_copy(fam, 4, workers=2)
         assert no_children_left()
 
-    def test_earlier_find_kills_running_task(self, monkeypatch, alarm):
-        # The first two root pairs below are large, so the calling process
-        # runs no task and each goes to a worker as a submission of its own.
-        # The first task is made to miss at once, so its worker is handed
-        # the next submission, whose first task, the third, spins for 10 s;
-        # the other worker finds a copy in the second.  That find comes
-        # before the third task in task order, so the search returns
-        # without waiting for the third and kills the worker running it.
+    @staticmethod
+    def run_third_task(monkeypatch, third_task):
+        """A family whose first two root pairs are large, so the calling
+        process runs no task and each goes to a worker as a submission of
+        its own.  The first task is made to miss at once, so its worker is
+        handed the next submission, whose first task, the third, calls
+        ``third_task``; the other worker finds a copy in the second after
+        0.2 s.  Return the family and the second root pair."""
         fam = SetFamily.from_sets(
             CubeSpace(4), [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
         )
@@ -936,18 +936,46 @@ class TestPool:
             if task[:2] == second:
                 time.sleep(0.2)
             if task[:2] == third:
-                end = time.monotonic() + 10.0
-                while time.monotonic() < end:
-                    self._tick(256)
+                third_task(self)
             return run(self, task)
 
         monkeypatch.setattr(search._Engine, "run", run_slowly)
+        return fam, second
+
+    def test_earlier_find_kills_running_task(self, monkeypatch, alarm):
+        # The third task spins for 10 s.  The find in the second comes
+        # before it in task order, so the search returns without waiting
+        # for the third and kills the worker running it.
+        def spin(engine):
+            end = time.monotonic() + 10.0
+            while time.monotonic() < end:
+                engine._tick(256)
+
+        fam, second = self.run_third_task(monkeypatch, spin)
         start = time.monotonic()
         out = find_copy(fam, 2, workers=2)
         assert time.monotonic() - start < 5.0
         assert out.status == "found"
         assert out.embedding.image_values[-1] == second[1]
         assert no_children_left()
+
+    def test_task_ending_while_killed_leaves_no_traceback(self, monkeypatch, capfd, alarm):
+        # The third task ends 0.3 s after it starts, while its worker is
+        # being killed (os.kill waits 1 s first).  Its worker still has
+        # its result pipe to write to, so it does not die on a closed pipe.
+        fam, second = self.run_third_task(monkeypatch, lambda engine: time.sleep(0.3))
+        kill = os.kill
+
+        def slow_kill(pid, signum):
+            time.sleep(1.0)
+            kill(pid, signum)
+
+        monkeypatch.setattr(os, "kill", slow_kill)
+        out = find_copy(fam, 2, workers=2)
+        assert out.status == "found"
+        assert out.embedding.image_values[-1] == second[1]
+        assert no_children_left()
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_every_worker_is_reaped(self, forks, alarm):
         cases = [
