@@ -305,7 +305,7 @@ def cmd_flip_graph(args) -> int:
         ("command", "flip-graph"),
         ("n", str(args.n)),
         ("vertices", str(len(graph.vertices))),
-        ("edges", str(len(graph.edges))),
+        ("edges", str(len(graph.ends))),
         ("bipartite", "yes" if report.bipartite else "no"),
         ("connected", "yes" if report.connected else "no"),
         ("odd_class", str(report.odd_class_size)),

@@ -50,21 +50,19 @@ def _odd_elements_mask(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FlipGraph:
-    """Vertices are encoded transversal masks, a sorted ``int64`` array;
-    edges are an ``(E, 2)`` ``int64`` array of (u, v) rows with u < v,
-    sorted lexicographically.  ``ends`` holds the same rows as ``int32``
-    vertex indices (positions in ``vertices``); when it is not given, as
-    for a graph built by hand, it is found by binary search."""
+    """Vertices are encoded transversal masks, a sorted ``int64`` array.
+    Edges are ``ends``, an ``(E, 2)`` ``int32`` array of vertex indices
+    (positions in ``vertices``) with u < v in each row, rows sorted
+    lexicographically; ``edges`` gathers the encoded values of the same
+    rows on demand."""
 
     n: int
     vertices: np.ndarray
-    edges: np.ndarray
-    ends: np.ndarray | None = None
+    ends: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.ends is None:
-            ends = np.searchsorted(self.vertices, self.edges).astype(np.int32)
-            object.__setattr__(self, "ends", ends)
+    @property
+    def edges(self) -> np.ndarray:
+        return self.vertices[self.ends]
 
     @property
     def degree_histogram(self) -> dict[int, int]:
@@ -101,8 +99,7 @@ def build_flip_graph(n: int) -> FlipGraph:
         rows = (half & ~low) << 1 | (half & low)  # the rows with bit i clear
         below = i - np.bitwise_count(rows & low)  # their clear bits below i
         ends[start[rows] + below, 1] = rows | (1 << i)
-    edges = vertices[ends]
-    return FlipGraph(n, vertices, edges, ends)
+    return FlipGraph(n, vertices, ends)
 
 
 def _adjacency(count: int, keys: np.ndarray, values: np.ndarray):

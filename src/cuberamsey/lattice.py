@@ -255,7 +255,10 @@ def pair_count_table(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def missed_count_table(m: int) -> np.ndarray:
-    """Missed-pair count per encoded value (uint8; m even)."""
+    """Missed-pair count per encoded value (uint8).  Raises ValueError on
+    odd m, whose top element is in no pair."""
+    if m % 2:
+        raise ValueError(f"missed-pair counts need an even m, got {m}")
     return profile_table(m, lambda size, pairs, odd: (m // 2 - size + pairs).astype(np.uint8))
 
 

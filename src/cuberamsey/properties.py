@@ -151,13 +151,13 @@ def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:
     """
     m = _require_over_2n(family, n)
     graph = build_flip_graph(n)
-    both = family.mask[graph.edges].all(axis=1)
+    both = family.mask[graph.vertices][graph.ends].all(axis=1)
     if not both.any():
         return PropertyReport("flip-susceptible", True, None, len(graph.vertices))
-    t, u = graph.edges[np.argmax(both)].tolist()
-    checked = int(np.searchsorted(graph.vertices, t)) + 1
+    i, j = graph.ends[np.argmax(both)].tolist()
+    t, u = graph.vertices[[i, j]].tolist()
     return PropertyReport(
-        "flip-susceptible", False, (ElementSet(t, m), ElementSet(u, m)), checked
+        "flip-susceptible", False, (ElementSet(t, m), ElementSet(u, m)), i + 1
     )
 
 

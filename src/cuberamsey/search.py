@@ -433,15 +433,18 @@ class _Engine:
         the dict a task carries is not reused); a deadline hit ends the
         walk and sets self.walk_hit.  The first pair met of an
         orbit is its minimum; its orbit is closed breadth-first, and the
-        other members wait in pending until they are met and skipped, so
-        memory grows only with the open orbits."""
+        other members wait in pending until they are met and skipped.
+        The members and each bottom's supersets are read in place, through
+        memoryviews that yield Python ints, never copied to lists (a list
+        of the 8,388,146 c0 n = 12 Red members takes 335 MB on 64-bit
+        CPython), so memory grows only with the open orbits."""
         members = self.members
         sizes = np.bitwise_count(members)
         pending: set[tuple[int, int]] = set()
         hits = dict.fromkeys(_PRUNE_NAMES, 0)
         self.rest, self.walk_hit = dict.fromkeys(_PRUNE_NAMES, 0), False
         try:
-            for i, b in enumerate(members.tolist()):
+            for i, b in enumerate(memoryview(members)):
                 self._tick(len(members))
                 # Supersets of b are larger than b, so only later members.
                 later = members[i + 1 :]
@@ -450,7 +453,7 @@ class _Engine:
                     fits = sizes[i + 1 :] >= sizes[i] + self.n
                     hits["root-gap"] += int(np.count_nonzero(inside & ~fits))
                     inside &= fits
-                for t in later[inside].tolist():
+                for t in memoryview(later[inside]):
                     if (b, t) in pending:
                         pending.remove((b, t))
                         hits["target-symmetry"] += 1

@@ -1,5 +1,7 @@
 """The partner-swap graph on transversals and its diagnostics."""
 
+import dataclasses
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +21,14 @@ from cuberamsey import (
 
 def edge_tuples(graph):
     return [tuple(e) for e in graph.edges.tolist()]
+
+
+def hand_built(vertices, edges):
+    """A FlipGraph on the given sorted vertex values and (u, v) value rows,
+    its ends found by binary search."""
+    vertices = np.array(vertices, dtype=np.int64)
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return FlipGraph(2, vertices, np.searchsorted(vertices, edges).astype(np.int32))
 
 
 class TestConstruction:
@@ -69,6 +79,19 @@ class TestConstruction:
         assert edges == sorted(edges)
         assert all(u < v for u, v in edges)
         assert len(set(edges)) == len(edges)
+
+    def test_edges_are_held_once_as_indices(self):
+        assert [f.name for f in dataclasses.fields(FlipGraph)] == ["n", "vertices", "ends"]
+        tracemalloc.start()
+        try:
+            g = build_flip_graph(16)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 512 KB of vertex values and 4 MB of int32 ends; a second,
+        # int64 copy of the edges would add 8 MB.
+        assert g.ends.dtype == np.int32
+        assert held < 6 << 20
 
     @pytest.mark.parametrize("n", [0, 21])
     def test_capacity(self, n):
@@ -143,11 +166,7 @@ class TestUnreachedBranches:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_report_matches_oracle(self, name):
         vertices, edges, want = self.GRAPHS[name]
-        g = FlipGraph(
-            2,
-            np.array(vertices, dtype=np.int64),
-            np.array(edges, dtype=np.int64).reshape(-1, 2),
-        )
+        g = hand_built(vertices, edges)
         assert check_bipartition(g) == FlipGraphReport(*want)
         assert oracles.bipartition_loop(vertices, edges) == FlipGraphReport(*want)
         assert g.degree_histogram == oracles.degree_histogram_loop(vertices, edges)
@@ -195,11 +214,7 @@ class TestExportMatchesPercent:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_hand_built(self, name):
         vertices, edges = self.GRAPHS[name]
-        g = FlipGraph(
-            2,
-            np.array(vertices, dtype=np.int64),
-            np.array(edges, dtype=np.int64).reshape(-1, 2),
-        )
+        g = hand_built(vertices, edges)
         text = "".join(export_edges(g))
         assert text == oracles.export_edges_percent(g)
         assert text == "".join(f"{u} {v}\n" for u, v in edges)

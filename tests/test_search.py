@@ -799,6 +799,21 @@ class TestBudget:
         assert elapsed < 2.0
         assert peak < 32 * 2**20
 
+    def test_walk_reads_members_in_place(self):
+        # The 2^20 members over [20] take 4 MB as an array; as a list of
+        # Python ints they would take 38 MB, and the supersets of the first
+        # bottom, {}, as much again.
+        fam = full_family(20)
+        tracemalloc.start()
+        try:
+            out = find_copy(fam, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.status == "found"
+        assert out.nodes_explored == 3
+        assert peak < 24 * 2**20
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_hit_counts_only_the_tasks_run(self, monkeypatch, workers):
         # A deadline hit in the third task, which the calling process runs
