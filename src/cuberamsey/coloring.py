@@ -94,6 +94,11 @@ class SetFamily:
         """The family of complements of the members."""
         return SetFamily(self.space, self.mask[::-1].copy())
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SetFamily):
+            return NotImplemented
+        return self.space == other.space and bool(np.array_equal(self.mask, other.mask))
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -122,11 +127,8 @@ class Coloring:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.scheme == other.scheme
-            and bool(np.array_equal(self.red, other.red))
-        )
+        red = self.color_class(Color.RED)
+        return self.scheme == other.scheme and red == other.color_class(Color.RED)
 
 
 def make_layered(m: int) -> Coloring:

@@ -36,8 +36,10 @@ subset of B exactly when f(A) is a subset of f(B).
      the earlier incomparable sources are exactly its probes.
 So neither candidates, nodes nor counters change; this is not a prune.
 
-Images must also be distinct, yet the only reuse test is x against the
-bottom and the top: no other earlier image can be accepted as x.
+Images must also be distinct, and the candidate window keeps them so:
+f(bottom) and f(top) lie outside it, and every other earlier image fails
+a probe or lies strictly inside u.  So a candidate is tested for
+membership and against the probes, and for nothing else.
 Proof.  Let A be an earlier source other than the bottom and the top,
 with f(A) = x.
   * A is incomparable with s: f(A) is inside x, so a probe rejects x
@@ -47,14 +49,15 @@ with f(A) = x.
     incomparable, and so are their images; so f(C) is strictly inside u,
     which is inside x.
   * The top is the only earlier proper superset of s (point 1).
-That leaves the bottom and the top, which the comparison rejects; it is
-needed only at s = {1}.  With prune=True the cardinality window already
-gives |f(bottom)| < |x| < |f(top)|, as 0 < |s| < n.  With prune=False
-f(bottom) lies inside, and f(top) contains, every singleton image, and
-every source but {1} has a probe (an i outside s comes before s, or {1}
-before a later singleton); so only at {1} can w = 0 give f(bottom), or
-w = d give f(top).  Reuse rejections have no counter, so nodes and
-counters are as with a test against every earlier image.
+That leaves the bottom and the top.  With prune=True the cardinality
+window gives |f(bottom)| < |x| < |f(top)|, as 0 < |s| < n.  With
+prune=False f(bottom) lies inside, and f(top) contains, every singleton
+image, and every source but {1} has a probe (an i outside s comes before
+s, or {1} before a later singleton), which rejects both.  At {1}, u is
+f(bottom), so w = 0 gives f(bottom) and w = d gives f(top), and no other
+w gives either; the window there is 1..|d| - 1.  Reuse rejections have
+no counter, so nodes and counters are as with a test against every
+earlier image.
 
 With prune=True four provable reductions apply; prune=False walks the
 plain tree, and outcomes, first-mode witnesses and counts are the same
@@ -111,12 +114,11 @@ Reported node counts follow a fixed convention: one node per searched
 (bottom, top) root pair and one per accepted inner assignment.  Root pairs
 are checked for the root gap before target symmetry, and candidates run
 their checks in a fixed order (cardinality window, source symmetry,
-membership, the root pair, incomparability), so prune hit counts are
-reproducible; they audit completed exhaustions.  Each representative
-root pair is one task; a root-pair rejection counts to the task after it
-in the walk (after the last task, at exhaustion), and a found outcome
-counts the tasks up to and including the find, so no counter depends on
-the worker count.
+membership, incomparability), so prune hit counts are reproducible; they
+audit completed exhaustions.  Each representative root pair is one task; a
+root-pair rejection counts to the task after it in the walk (after the
+last task, at exhaustion), and a found outcome counts the tasks up to and
+including the find, so no counter depends on the worker count.
 
 Work splitting.  Every search runs one task loop (_results), whatever the
 worker count.  The calling process runs the head of the walk itself: the
@@ -509,7 +511,9 @@ class _Engine:
             hi = top.bit_count() - (self.n - pc_s) - pc_u
             hits["cardinality-window"] += _window_skipped(d.bit_count(), lo, hi)
         else:
-            lo, hi = 0, d.bit_count()
+            # Only the first singleton's window can reach w = 0, f(bottom),
+            # or w = d, f(top) (module docstring); it stops short of both.
+            lo, hi = (1, d.bit_count() - 1) if k == 2 else (0, d.bit_count())
         floored = self.floored[k]
         member = self.member
         probes = self.probes[k]
@@ -540,17 +544,14 @@ class _Engine:
                 lows = lows[start:]
             for w in lows:
                 x = base | w
-                # No other earlier image can be x (module docstring).
-                if not member[x] or x == bottom or x == top:
+                if not member[x]:
                     continue
-                ok = True
                 for j in probes:
                     v = images[j]
                     xv = x & v
                     if xv == x or xv == v:
-                        ok = False
                         break
-                if ok:
+                else:
                     self.nodes += 1
                     images[k] = x
                     if self._extend(k + 1):
@@ -763,17 +764,19 @@ def find_copy(
     n > MAX_SOURCE_N raises ValueError before any worker starts.  The root
     pairs to search (with prune=True only the orbit representatives under
     the verified automorphisms of the family) are walked once, ascending,
-    and each is one task.  This process runs the small tasks at the head
-    of the walk; with workers > 1 it then runs none, but hands the rest to
-    up to ``workers`` forked processes (none without os.fork), forked only
-    once the head is past, and waits for their results.  Results are
-    folded in task order, so outcomes, witnesses and counters do not
-    depend on the worker count.  A found outcome counts the tasks up to
-    and including the find; workers still running then are killed, and
-    every worker is reaped before the outcome is returned.  A worker that
-    dies mid-task raises ChildProcessError.  The budget also covers the
-    automorphism checks before the walk.  A budget hit starts no more
-    tasks, but a find by a task still running wins over it.
+    and each is one task.  This process runs the small tasks at the head of
+    the walk; with workers > 1 it then runs none, but hands the rest to up
+    to ``workers`` forked processes (none without os.fork), and waits for
+    their results.  A worker is forked only past the head, and only for a
+    submission that finds no idle worker, so a search forks no more workers
+    than it has submissions, however many are allowed.  Results are folded
+    in task order, so outcomes, witnesses and counters do not depend on the
+    worker count.  A found outcome counts the tasks up to and including the
+    find; workers still running then are killed, and every worker is reaped
+    before the outcome is returned.  A worker that dies mid-task raises
+    ChildProcessError.  The budget also covers the automorphism checks
+    before the walk.  A budget hit starts no more tasks, but a find by a
+    task still running wins over it.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -792,7 +795,7 @@ def find_copy(
             hit = True
         else:
             # Worker processes are forked; without fork the search runs here.
-            workers = min(workers, family.size) if hasattr(os, "fork") else 1
+            workers = workers if hasattr(os, "fork") else 1
             found, count, nodes, hits, hit = _search(
                 family, n, mode, prune, deadline, swaps, workers
             )

@@ -68,6 +68,15 @@ class TestSetFamily:
         for v in range(space.size):
             assert comp.contains(v) == fam.contains(space.full_mask ^ v)
 
+    def test_equality_compares_space_and_members(self):
+        fam = make_c0(2).color_class(Color.BLUE)
+        assert fam == make_c0(2).color_class(Color.BLUE)
+        assert fam.complement_image().complement_image() == fam
+        for v in (0, 5, 15):
+            assert fam.with_toggled(v) != fam
+        assert fam != object()
+        assert SetFamily.full(CubeSpace(2)) != SetFamily.full(CubeSpace(3))
+
     def test_rejects_bad_mask(self):
         with pytest.raises(ValueError):
             SetFamily(CubeSpace(2), np.zeros(3, dtype=bool))

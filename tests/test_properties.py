@@ -206,6 +206,7 @@ class TestAgainstLiteralOracle:
             members = [int(v) for v in fam.member_values()]
             for name, (checker, literal) in CHECKERS.items():
                 assert checker(fam, n).holds == literal(members, n), name
+            assert is_restrictive(fam, n).holds == oracles.literal_restrictive(members, n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_witnesses_violate_literally(self, n):

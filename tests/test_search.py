@@ -1023,6 +1023,31 @@ class TestPool:
             find_copy(fam, n, workers=1)
         assert forks == []
 
+    def test_more_workers_than_members(self, monkeypatch, forks, alarm):
+        # Seven members, eight workers: five of the ten tasks are large, so
+        # the walk makes six submissions and the dispatch alone bounds the
+        # forks by them.
+        fam = SetFamily.from_sets(CubeSpace(5), [0, 1, 2, 7, 11, 27, 31])
+        seq = find_copy(fam, 2, mode="count", workers=1)
+        assert forks == []
+        submissions, submission = [], search._submission
+
+        def counted(tasks, n):
+            batch = submission(tasks, n)
+            if batch:
+                submissions.append(batch)
+            return batch
+
+        monkeypatch.setattr(search, "_submission", counted)
+        par = find_copy(fam, 2, mode="count", workers=8)
+        assert (par.status, par.count, par.nodes_explored, par.prune_hits) == (
+            seq.status, seq.count, seq.nodes_explored, seq.prune_hits
+        )
+        assert (seq.status, seq.count, seq.prune_hits["target-symmetry"]) == ("found", 20, 4)
+        assert len(submissions) == 6 and fam.size < 8
+        assert 1 <= len(forks) <= len(submissions)
+        assert no_children_left()
+
     def test_without_fork_the_search_runs_in_process(self, monkeypatch):
         fam = make_c0(4).color_class(Color.RED)
         seq = find_copy(fam, 4, workers=1)
