@@ -35,9 +35,7 @@ from .lattice import (
     CapacityError,
     CubeSpace,
     ElementSet,
-    complement,
     parse_set,
-    partner,
 )
 from .properties import (
     PropertyReport,
@@ -76,7 +74,6 @@ __all__ = [
     "SetFamily",
     "build_flip_graph",
     "check_bipartition",
-    "complement",
     "copy_image_masks",
     "dual_coloring",
     "exists_good_coloring",
@@ -93,7 +90,6 @@ __all__ = [
     "make_layered",
     "parse_coloring",
     "parse_set",
-    "partner",
     "ramsey_bruteforce",
     "render_coloring",
     "save_coloring",

@@ -45,10 +45,6 @@ class RamseyScan:
     value: int | None
     results: tuple[BruteForceResult, ...]
 
-    @property
-    def status(self) -> str:
-        return "resolved" if self.value is not None else "unresolved"
-
 
 @lru_cache(maxsize=32)
 def copy_image_masks(n: int, m: int) -> tuple[int, ...]:

@@ -40,11 +40,8 @@ class Color(enum.Enum):
     RED = "R"
     BLUE = "B"
 
-    def flipped(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetFamily:
     """A collection of subsets of [m], stored as a dense membership table."""
 
@@ -63,25 +60,13 @@ class SetFamily:
             mask[s.bits if isinstance(s, ElementSet) else int(s)] = True
         return cls(space, mask)
 
-    @classmethod
-    def full(cls, space: CubeSpace) -> "SetFamily":
-        return cls(space, np.ones(space.size, dtype=bool))
-
     @property
     def size(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def contains(self, s: ElementSet | int) -> bool:
-        bits = s.bits if isinstance(s, ElementSet) else int(s)
-        return bool(self.mask[bits])
-
     def member_values(self) -> np.ndarray:
         """Encoded values of the members, ascending."""
         return np.flatnonzero(self.mask)
-
-    def iter_sets(self):
-        for bits in self.member_values():
-            yield ElementSet(int(bits), self.space.m)
 
     def with_toggled(self, s: ElementSet | int) -> "SetFamily":
         """A copy with one set added or removed."""
@@ -100,7 +85,7 @@ class SetFamily:
         return self.space == other.space and bool(np.array_equal(self.mask, other.mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
     """A total Red/Blue assignment on 2^[m]; ``red[i]`` is True iff the set
     encoded by i is red."""
@@ -115,10 +100,6 @@ class Coloring:
         if "\n" in self.scheme:
             raise ValueError("scheme label must not contain newlines")
         self.red.flags.writeable = False
-
-    def color_of(self, s: ElementSet | int) -> Color:
-        bits = s.bits if isinstance(s, ElementSet) else int(s)
-        return Color.RED if self.red[bits] else Color.BLUE
 
     def color_class(self, color: Color) -> SetFamily:
         """The members of one class.  Red shares the read-only table."""
@@ -167,7 +148,7 @@ def make_c3() -> Coloring:
 
 
 def dual_coloring(c: Coloring) -> Coloring:
-    """The coloring S -> flip(c(complement(S))); an involution.
+    """The coloring S -> flip(c([m] - S)); an involution.
 
     Complementation reverses the index order because the full mask is all
     ones, so the assignment is the reversed, negated table.  From eight

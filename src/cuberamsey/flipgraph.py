@@ -1,8 +1,8 @@
 """The graph on pair-free n-subsets of [2n] (transversals), joined when
-two of them differ by swapping one element for its partner, equivalently
-when their union has n+1 elements.  Diagnostics: bipartiteness via
-breadth-first layering, connectivity, and agreement of the bipartition
-with the element-sum parity classes.
+two of them differ by swapping one element for the other of its pair,
+equivalently when their union has n+1 elements.  Diagnostics:
+bipartiteness via breadth-first layering, connectivity, and agreement of
+the bipartition with the element-sum parity classes.
 
 Everything is held in numpy arrays.  A transversal takes bit 2i or 2i+1
 of each pair i, so it is the even-position mask ``(4**n - 1) // 3`` plus
@@ -18,8 +18,8 @@ unvisited vertex of each component, and a vertex's side is the parity of
 its level.  That is the side a per-vertex FIFO queue assigns (the test
 oracle ``bipartition_loop``): the queue starts each component at its
 lowest unvisited vertex too, pops vertices in nondecreasing distance from
-it, and gives each newly reached neighbour the popped vertex's side
-flipped, so every side is the distance parity; the level here is that
+it, and gives each newly reached neighbour the side opposite the popped
+vertex's, so every side is the distance parity; the level here is that
 distance.  The queue declares the graph non-bipartite when some edge has
 equal sides at both ends, which is ``side[u] == side[v]`` over the edge
 array.  So the sides, the bipartite and connected flags, the parity
@@ -63,11 +63,6 @@ class FlipGraph:
     @property
     def edges(self) -> np.ndarray:
         return self.vertices[self.ends]
-
-    @property
-    def degree_histogram(self) -> dict[int, int]:
-        degrees = np.bincount(self.ends.ravel(), minlength=len(self.vertices))
-        return {d: c for d, c in enumerate(np.bincount(degrees).tolist()) if c}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Ground-set arithmetic: subsets of [m] as bit masks, cardinality layers,
-complements, and the pairing structure {1,2},{3,4},... on even ground sets.
+"""Ground-set arithmetic: subsets of [m] as bit masks, and dense per-subset
+tables of a set's size, complete pairs {1,2},{3,4},... and element-sum
+parity.
 
 Elements are numbered 1..m and element j lives at bit j-1, so the encoded
 value of a set doubles as its index into dense per-subset tables. Pair i
@@ -36,15 +37,6 @@ class CubeSpace:
         if not 1 <= self.m <= MAX_GROUND_SIZE:
             raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SIZE}, got {self.m}")
 
-    @property
-    def paired(self) -> bool:
-        return self.m % 2 == 0
-
-    @property
-    def n(self) -> int | None:
-        """The cube parameter when paired (m = 2n)."""
-        return self.m // 2 if self.paired else None
-
     @classmethod
     def with_pairs(cls, n: int) -> "CubeSpace":
         """The space [2n] with pairs {1,2},...,{2n-1,2n}."""
@@ -54,10 +46,6 @@ class CubeSpace:
     def size(self) -> int:
         """Number of subsets, 2**m."""
         return 1 << self.m
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.m) - 1
 
 
 @dataclass(frozen=True)
@@ -89,9 +77,6 @@ class ElementSet:
     def size(self) -> int:
         return self.bits.bit_count()
 
-    def __contains__(self, j: int) -> bool:
-        return 1 <= j <= self.m and bool(self.bits >> (j - 1) & 1)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(j) for j in self.elements()) + "}"
 
@@ -108,31 +93,6 @@ def parse_set(text: str, m: int) -> ElementSet:
     if not inner:
         return ElementSet(0, m)
     return ElementSet.from_elements((int(part) for part in inner.split(",")), m)
-
-
-def _require_paired(space: CubeSpace) -> int:
-    if not space.paired:
-        raise ValueError("operation needs a paired space (m = 2n)")
-    assert space.n is not None
-    return space.n
-
-
-def _require_member(s: ElementSet, space: CubeSpace) -> None:
-    if s.m != space.m:
-        raise ValueError(f"set over [{s.m}] used in a space over [{space.m}]")
-
-
-def partner(a: int, space: CubeSpace) -> int:
-    """The other element of a's pair."""
-    n = _require_paired(space)
-    if not 1 <= a <= 2 * n:
-        raise ValueError(f"element {a} outside 1..{2 * n}")
-    return a - 1 if a % 2 == 0 else a + 1
-
-
-def complement(s: ElementSet, space: CubeSpace) -> ElementSet:
-    _require_member(s, space)
-    return ElementSet(space.full_mask ^ s.bits, space.m)
 
 
 # Dense per-subset tables (index = encoded value).

@@ -1,5 +1,5 @@
 """Decision procedures for the four structural properties of set families
-over a paired ground set [2n].
+over [2n], whose pairs are {1,2}, {3,4}, ..., {2n-1,2n}.
 
 Every checker returns a report; a failing report always carries a witness
 that can be re-verified against the property definition directly.
@@ -47,13 +47,6 @@ class RestrictiveReport:
 
     holds: bool
     subreports: tuple[PropertyReport, ...]
-
-    @property
-    def first_failure(self) -> PropertyReport | None:
-        for rep in self.subreports:
-            if not rep.holds:
-                return rep
-        return None
 
     @property
     def checked_count(self) -> int:

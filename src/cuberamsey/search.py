@@ -186,10 +186,6 @@ class Embedding:
     def image_values(self) -> tuple[int, ...]:
         return tuple(s.bits for s in self.images)
 
-    def image_of(self, source: int | ElementSet) -> ElementSet:
-        idx = source.bits if isinstance(source, ElementSet) else source
-        return self.images[idx]
-
 
 @dataclass(frozen=True)
 class EmbeddingCheck:
@@ -760,8 +756,9 @@ def find_copy(
     mode="first" stops at the embedding minimal in the deterministic branch
     order; mode="count" exhausts the tree and counts embeddings as labeled
     maps.  A budget turns an unfinished run into status "inconclusive",
-    never "absent".  n > m is "absent" at once, with no search; otherwise
-    n > MAX_SOURCE_N raises ValueError before any worker starts.  The root
+    never "absent".  workers < 1 raises ValueError; n > m is "absent" at
+    once, with no search; otherwise n > MAX_SOURCE_N raises ValueError
+    before any worker starts.  The root
     pairs to search (with prune=True only the orbit representatives under
     the verified automorphisms of the family) are walked once, ascending,
     and each is one task.  This process runs the small tasks at the head of
@@ -782,6 +779,8 @@ def find_copy(
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     start = time.perf_counter()
     # No search ran: the outcome when n exceeds m, where no injective
     # size-respecting map exists, or when the budget ends before the walk.

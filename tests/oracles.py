@@ -22,7 +22,6 @@ from cuberamsey import (
     copy_image_masks,
     find_copy,
     parse_coloring,
-    partner,
 )
 from cuberamsey.lattice import (
     MAX_GROUND_SIZE,
@@ -261,7 +260,7 @@ def verify_embedding_loop(e, family=None) -> EmbeddingCheck:
     size = 1 << e.n
     if family is not None:
         for a in range(size):
-            if not family.contains(e.images[a]):
+            if not family.mask[e.images[a].bits]:
                 return EmbeddingCheck(
                     False, f"image {e.images[a]} of {ElementSet(a, e.n)} not in family"
                 )
@@ -479,26 +478,15 @@ def flip_susceptible_loop(family, n: int) -> PropertyReport:
     checked = 0
     for t in transversals_literal(n):
         checked += 1
-        if not family.contains(t):
+        if not family.mask[t]:
             continue
         for i in range(n):
             u = t ^ (3 << (2 * i))
-            if u > t and family.contains(u):
+            if u > t and family.mask[u]:
                 return PropertyReport(
                     "flip-susceptible", False, (ElementSet(t, m), ElementSet(u, m)), checked
                 )
     return PropertyReport("flip-susceptible", True, None, checked)
-
-
-def degree_histogram_loop(vertices, edges) -> dict[int, int]:
-    deg = dict.fromkeys(vertices, 0)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    hist: dict[int, int] = {}
-    for d in deg.values():
-        hist[d] = hist.get(d, 0) + 1
-    return hist
 
 
 def bipartition_loop(vertices, edges) -> FlipGraphReport:
@@ -606,13 +594,6 @@ def hit_probe(bits: int) -> int:
     return (bits | (bits >> 1)) & _EVEN_BITS
 
 
-def pair_index(a: int, space: CubeSpace) -> int:
-    """The pair that element a belongs to: ceil(a/2).  Rejects what
-    ``partner`` rejects."""
-    partner(a, space)
-    return (a + 1) // 2
-
-
 def layer_masks(m: int, k: int):
     """All masks of popcount k over [m] in strictly increasing value order,
     by the same-popcount successor trick."""
@@ -650,7 +631,7 @@ def extend_to_maximal(family, s: ElementSet, n: int) -> ElementSet:
         raise ValueError(f"family is over [{family.space.m}] but the check needs [{2 * n}]")
     if s.m != family.space.m:
         raise ValueError(f"set over [{s.m}] but family is over [{family.space.m}]")
-    if not family.contains(s):
+    if not family.mask[s.bits]:
         raise ValueError(f"{s} is not a member of the family")
 
     target_pairs = n // 2

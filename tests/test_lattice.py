@@ -1,4 +1,4 @@
-"""Ground-set arithmetic: encodings, pairing structure, layers, tables."""
+"""Ground-set arithmetic: encodings, layers, tables."""
 
 import math
 import os
@@ -11,15 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import hit_probe, iterate_layer, layer_masks, pair_index, pair_probe
-from cuberamsey import (
-    CapacityError,
-    CubeSpace,
-    ElementSet,
-    complement,
-    parse_set,
-    partner,
-)
+from oracles import hit_probe, iterate_layer, layer_masks, pair_probe
+from cuberamsey import CapacityError, CubeSpace, ElementSet, parse_set
 from cuberamsey import lattice
 from cuberamsey.lattice import (
     TABLE_BYTES_PER_SUBSET,
@@ -38,15 +31,11 @@ class TestCubeSpace:
     def test_basic_properties(self):
         space = CubeSpace(5)
         assert space.size == 32
-        assert space.full_mask == 0b11111
-        assert not space.paired
-        assert space.n is None
+        assert space.size - 1 == 0b11111
 
     def test_paired_space(self):
         space = CubeSpace.with_pairs(4)
         assert space.m == 8
-        assert space.paired
-        assert space.n == 4
 
     @pytest.mark.parametrize("m", [0, -1, 33])
     def test_rejects_bad_ground_size(self, m):
@@ -59,7 +48,6 @@ class TestElementSet:
         s = ElementSet.from_elements([1, 3], 4)
         assert s.bits == 0b101
         assert s.elements() == (1, 3)
-        assert 1 in s and 3 in s and 2 not in s and 5 not in s
 
     def test_str_and_repr(self):
         s = ElementSet.from_elements([1, 2, 3], 6)
@@ -106,32 +94,13 @@ class TestParseSet:
 
 class TestPairing:
     def test_pair_index(self):
-        space = CubeSpace(6)
-        assert [pair_index(a, space) for a in range(1, 7)] == [1, 1, 2, 2, 3, 3]
-
-    def test_partner(self):
-        space = CubeSpace(6)
-        assert [partner(a, space) for a in range(1, 7)] == [2, 1, 4, 3, 6, 5]
-
-    def test_rejects_unpaired_space(self):
-        with pytest.raises(ValueError):
-            pair_index(1, CubeSpace(5))
-        with pytest.raises(ValueError):
-            partner(1, CubeSpace(5))
-
-    @pytest.mark.parametrize("a", [0, 7])
-    def test_rejects_out_of_range_element(self, a):
-        with pytest.raises(ValueError):
-            pair_index(a, CubeSpace(6))
-        with pytest.raises(ValueError):
-            partner(a, CubeSpace(6))
-
-    @given(st.integers(1, 8), st.data())
-    def test_partner_involution(self, n, data):
-        space = CubeSpace.with_pairs(n)
-        a = data.draw(st.integers(1, 2 * n))
-        assert partner(partner(a, space), space) == a
-        assert pair_index(partner(a, space), space) == pair_index(a, space)
+        # Element a is in pair ceil(a/2): {a, b} is a complete pair exactly
+        # when a and b share it.
+        pairs = pair_count_table(6)
+        for a in range(1, 7):
+            for b in range(a + 1, 7):
+                both = ElementSet.from_elements([a, b], 6).bits
+                assert pairs[both] == ((a + 1) // 2 == (b + 1) // 2)
 
 
 class TestProbes:
@@ -178,21 +147,8 @@ class TestProbes:
                 continue
             assert popcount_table(8)[bits] == 4 + pair_count_table(8)[bits]
 
-    def test_wrong_space_rejected(self):
-        with pytest.raises(ValueError):
-            complement(ElementSet(1, 4), CubeSpace(6))
-
 
 class TestComplementParity:
-    @given(st.integers(1, 10), st.data())
-    def test_complement_involution(self, m, data):
-        space = CubeSpace(m)
-        s = ElementSet(data.draw(masks_over(m)), m)
-        c = complement(s, space)
-        assert complement(c, space) == s
-        assert s.size + c.size == m
-        assert not set(s.elements()) & set(c.elements())
-
     @given(st.integers(1, 10), st.data())
     def test_parity_matches_literal_sum(self, m, data):
         bits = data.draw(masks_over(m))
@@ -200,13 +156,13 @@ class TestComplementParity:
 
     @given(st.integers(1, 8), st.data())
     def test_partner_swap_flips_parity(self, n, data):
-        space = CubeSpace.with_pairs(n)
         bits = data.draw(masks_over(2 * n))
-        s = ElementSet(bits, space.m)
-        singles = [a for a in s.elements() if partner(a, space) not in s]
-        for a in singles:
-            swapped = ElementSet(bits ^ (1 << (a - 1)) ^ (1 << (partner(a, space) - 1)), s.m)
-            assert odd_sum_table(2 * n)[swapped.bits] != odd_sum_table(2 * n)[bits]
+        # A pair holding exactly one element of the set: swap that element
+        # for the other one.
+        for i in range(n):
+            if bits >> (2 * i) & 3 in (1, 2):
+                swapped = bits ^ (3 << (2 * i))
+                assert odd_sum_table(2 * n)[swapped] != odd_sum_table(2 * n)[bits]
 
 
 class TestLayers:
@@ -240,7 +196,7 @@ class TestTables:
     @pytest.mark.parametrize("m", [2, 6])
     def test_tables_match_scalar_functions(self, m):
         space = CubeSpace(m)
-        n = space.n
+        n = m // 2
         pc = popcount_table(m)
         pairs = pair_count_table(m)
         miss = missed_count_table(m)

@@ -201,12 +201,20 @@ class TestAgainstLiteralOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_families_agree(self, n):
         rng = random.Random(900 + n)
-        for _ in range(40):
-            fam = random_family(2 * n, rng, density=rng.uniform(0.1, 0.9))
+        families = [random_family(2 * n, rng, density=rng.uniform(0.1, 0.9)) for _ in range(40)]
+        # Subfamilies of c0's Red class, which is restrictive: removing
+        # members keeps all four properties, so these hold.
+        red = make_c0(n).color_class(Color.RED)
+        held = [
+            SetFamily(red.space, red.mask & random_family(2 * n, rng, rng.uniform(0.1, 0.9)).mask)
+            for _ in range(20)
+        ]
+        for fam in families + held:
             members = [int(v) for v in fam.member_values()]
             for name, (checker, literal) in CHECKERS.items():
                 assert checker(fam, n).holds == literal(members, n), name
             assert is_restrictive(fam, n).holds == oracles.literal_restrictive(members, n)
+        assert all(is_restrictive(fam, n).holds for fam in held)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_witnesses_violate_literally(self, n):
@@ -216,7 +224,7 @@ class TestAgainstLiteralOracle:
             fam = random_family(2 * n, rng, density=0.6)
             members = [int(v) for v in fam.member_values()]
             rep = is_restrictive(fam, n)
-            fail = rep.first_failure
+            fail = next((r for r in rep.subreports if not r.holds), None)
             if fail is None:
                 continue
             seen += 1
@@ -319,7 +327,7 @@ class TestRestrictive:
             "not-too-high",
             "flip-susceptible",
         ]
-        assert rep.holds and rep.first_failure is None
+        assert rep.holds and all(r.holds for r in rep.subreports)
         assert rep.checked_count == sum(r.checked_count for r in rep.subreports)
 
     def test_first_failure_name(self):
@@ -327,12 +335,13 @@ class TestRestrictive:
         # breaks exactly the miss rule.
         c = make_c0(4)
         fam = c.color_class(Color.RED)
-        assert not fam.contains(31)
+        assert not fam.mask[31]
         broken = fam.with_toggled(31)
         rep = is_restrictive(broken, 4)
         assert not rep.holds
-        assert rep.first_failure.name == "miss-forbidding"
-        assert str(rep.first_failure.witness) == "{1,2,3,4,5}"
+        fail = next((r for r in rep.subreports if not r.holds), None)
+        assert fail.name == "miss-forbidding"
+        assert str(fail.witness) == "{1,2,3,4,5}"
 
     def test_closed_under_member_removal(self):
         fam = make_c0(4).color_class(Color.RED)
@@ -380,13 +389,14 @@ class TestExtendToMaximal:
 
     def test_postconditions_over_whole_red_class(self):
         n = self.n
-        for s in self.family.iter_sets():
+        for v in self.family.member_values():
+            s = ElementSet(int(v), 2 * n)
             ext = extend_to_maximal(self.family, s, n)
             assert ext.size == n + n // 2
             assert oracles.pairs_and_singles(ext.bits, n)[0] == n // 2
             assert oracles.missed(ext.bits, n) == []
             assert ext.bits & s.bits == s.bits  # superset
-            aug = self.family if self.family.contains(ext) else self.family.with_toggled(ext)
+            aug = self.family if self.family.mask[ext.bits] else self.family.with_toggled(ext)
             assert is_restrictive(aug, n).holds, str(s)
 
     def test_deterministic(self):

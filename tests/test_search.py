@@ -50,7 +50,7 @@ FULL_CUBE_COUNTS = {
 
 
 def full_family(m):
-    return SetFamily.full(CubeSpace(m))
+    return SetFamily(CubeSpace(m), np.ones(1 << m, dtype=bool))
 
 
 def members_of(fam):
@@ -168,11 +168,8 @@ class TestVerifyEmbedding:
         assert time.perf_counter() - start < 0.2
 
     def test_image_of(self):
-        from cuberamsey import ElementSet
-
         e = Embedding.from_values(2, 3, (0, 1, 2, 7))
-        assert e.image_of(3).bits == 7
-        assert e.image_of(ElementSet(3, 2)).bits == 7
+        assert e.images[3].bits == 7 and e.images[3].m == 3
         assert e.image_values == (0, 1, 2, 7)
 
 
@@ -183,6 +180,18 @@ class TestFindCopyBasics:
             find_copy(fam, 1, mode="all")
         with pytest.raises(ValueError):
             find_copy(fam, 0)
+
+    def test_rejects_workers_below_one(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("searched with no worker")
+
+        # Refused before the automorphism checks and the search.
+        monkeypatch.setattr(search, "_family_swaps", unreachable)
+        monkeypatch.setattr(search, "_search", unreachable)
+        red = make_c0(2).color_class(Color.RED)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match=f"need workers >= 1, got {workers}"):
+                find_copy(red, 2, workers=workers)
 
     def test_source_larger_than_ground_is_absent(self):
         out = find_copy(full_family(2), 3)
@@ -286,8 +295,8 @@ class TestStructuralCases:
         out = find_copy(fam, 2)
         assert out.status == "found"
         e = out.embedding
-        assert e.image_of(3).bits == 7
-        assert e.image_of(1).bits | e.image_of(2).bits != e.image_of(3).bits
+        assert e.images[3].bits == 7
+        assert e.images[1].bits | e.images[2].bits != e.images[3].bits
         assert find_copy(fam, 2, mode="count").count == 2
 
     def test_monotone_under_family_growth(self):
