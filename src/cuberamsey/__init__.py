@@ -33,7 +33,6 @@ from .flipgraph import (
 )
 from .lattice import (
     CapacityError,
-    CubeSpace,
     ElementSet,
     parse_set,
 )
@@ -48,7 +47,6 @@ from .properties import (
 )
 from .search import (
     Embedding,
-    EmbeddingCheck,
     SearchOutcome,
     find_copy,
     verify_embedding,
@@ -61,10 +59,8 @@ __all__ = [
     "Color",
     "Coloring",
     "ColoringFormatError",
-    "CubeSpace",
     "ElementSet",
     "Embedding",
-    "EmbeddingCheck",
     "FlipGraph",
     "FlipGraphReport",
     "PropertyReport",

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coloring import Coloring
-from .lattice import CapacityError, CubeSpace
+from .lattice import CapacityError
 
 MAX_BRUTE_M = 4
 
@@ -108,7 +108,7 @@ def _good_mask_array(n: int, m: int) -> np.ndarray:
 def _coloring_from_mask(r: int, m: int) -> Coloring:
     size = 1 << m
     red = np.fromiter(((r >> v) & 1 for v in range(size)), dtype=bool, count=size)
-    return Coloring(CubeSpace(m), red, scheme=f"brute-{r}")
+    return Coloring(red, scheme=f"brute-{r}")
 
 
 def exists_good_coloring(n: int, m: int) -> BruteForceResult:

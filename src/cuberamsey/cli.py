@@ -156,9 +156,9 @@ def cmd_color(args) -> int:
     pairs = [
         ("command", "color"),
         ("n", str(n)),
-        ("m", str(coloring.space.m)),
+        ("m", str(coloring.m)),
         ("scheme", coloring.scheme),
-        ("entries", str(coloring.space.size)),
+        ("entries", str(coloring.red.size)),
         ("out", args.out),
     ]
     return _finish(args, pairs, start, EXIT_OK, report_out=None)
@@ -168,14 +168,12 @@ def cmd_check(args) -> int:
     start = time.perf_counter()
     n = args.n
     coloring = _load(args)
-    if coloring.space.m != 2 * n:
-        raise UsageError(
-            f"checking needs a coloring of [{2 * n}], file has m={coloring.space.m}"
-        )
+    if coloring.m != 2 * n:
+        raise UsageError(f"checking needs a coloring of [{2 * n}], file has m={coloring.m}")
     pairs = [
         ("command", "check"),
         ("n", str(n)),
-        ("m", str(coloring.space.m)),
+        ("m", str(coloring.m)),
         ("scheme", coloring.scheme),
     ]
     block, ok = _restrictive_block(coloring, n)
@@ -221,7 +219,7 @@ def cmd_find_copy(args) -> int:
     pairs = [
         ("command", "find-copy"),
         ("n", str(args.n)),
-        ("m", str(coloring.space.m)),
+        ("m", str(coloring.m)),
         ("scheme", coloring.scheme),
         ("color", args.color),
         ("budget_ms", "none" if args.budget_ms is None else f"{args.budget_ms:g}"),
@@ -326,8 +324,8 @@ def cmd_recheck(args) -> int:
     if not 1 <= n <= MAX_SOURCE_N:
         raise UsageError(f"report says n={n}, outside 1..{MAX_SOURCE_N}")
     m = int(fields["m"])
-    if coloring.space.m != m:
-        raise UsageError(f"report says m={m} but coloring file has m={coloring.space.m}")
+    if coloring.m != m:
+        raise UsageError(f"report says m={m} but coloring file has m={coloring.m}")
     certificates = {
         key: lines for key, lines in blocks.items() if key.endswith("_embedding")
     }
@@ -345,11 +343,11 @@ def cmd_recheck(args) -> int:
         if color is None:
             raise UsageError(f"unknown certificate block {key!r}")
         embedding = parse_embedding_block(certificates[key], n, m)
-        check = verify_embedding(embedding, coloring.color_class(color))
-        if check.ok:
+        violation = verify_embedding(embedding, coloring.color_class(color))
+        if violation is None:
             pairs.append((f"{prefix}_certificate", "valid"))
         else:
-            pairs.append((f"{prefix}_certificate", f"invalid ({check.violation})"))
+            pairs.append((f"{prefix}_certificate", f"invalid ({violation})"))
             all_ok = False
     pairs.append(("verdict", "certificates-valid" if all_ok else "certificates-invalid"))
     return _finish(args, pairs, start, EXIT_OK if all_ok else EXIT_FAIL, args.out)

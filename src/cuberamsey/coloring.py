@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    MAX_GROUND_SIZE,
-    CubeSpace,
-    ElementSet,
-    popcount_table,
-    profile_table,
-)
+from .lattice import MAX_GROUND_SIZE, check_ground_size, popcount_table, profile_table
 
 # The per-subset table builders stay attributes of this module, where the
 # tracer of perfbench/traced.py wraps them, though c0 no longer uses them.
@@ -41,24 +35,38 @@ class Color(enum.Enum):
     BLUE = "B"
 
 
+def _checked_value(s, size: int) -> int:
+    """The encoded value s as an int; raise ValueError unless it is in
+    0..size - 1, so that a negative value cannot wrap round the table."""
+    v = int(s)
+    if not 0 <= v < size:
+        raise ValueError(f"set value {v} outside 0..{size - 1}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class SetFamily:
-    """A collection of subsets of [m], stored as a dense membership table."""
+    """A collection of subsets of [m], stored as a dense membership table
+    of length 2^m."""
 
-    space: CubeSpace
-    mask: np.ndarray  # bool, length 2^m, read-only
+    mask: np.ndarray  # bool, read-only
 
     def __post_init__(self) -> None:
-        if self.mask.dtype != bool or self.mask.shape != (self.space.size,):
+        if self.mask.dtype != bool or self.mask.shape != (1 << check_ground_size(self.m),):
             raise ValueError("family mask must be bool of length 2^m")
         self.mask.flags.writeable = False
 
     @classmethod
-    def from_sets(cls, space: CubeSpace, sets) -> "SetFamily":
-        mask = np.zeros(space.size, dtype=bool)
+    def from_sets(cls, m: int, sets) -> "SetFamily":
+        """The family over [m] of the encoded values ``sets``."""
+        mask = np.zeros(1 << check_ground_size(m), dtype=bool)
         for s in sets:
-            mask[s.bits if isinstance(s, ElementSet) else int(s)] = True
-        return cls(space, mask)
+            mask[_checked_value(s, mask.size)] = True
+        return cls(mask)
+
+    @property
+    def m(self) -> int:
+        return self.mask.size.bit_length() - 1
 
     @property
     def size(self) -> int:
@@ -68,61 +76,62 @@ class SetFamily:
         """Encoded values of the members, ascending."""
         return np.flatnonzero(self.mask)
 
-    def with_toggled(self, s: ElementSet | int) -> "SetFamily":
-        """A copy with one set added or removed."""
-        bits = s.bits if isinstance(s, ElementSet) else int(s)
+    def with_toggled(self, s: int) -> "SetFamily":
+        """A copy with the set of encoded value s added or removed."""
+        bits = _checked_value(s, self.mask.size)
         mask = self.mask.copy()
         mask[bits] = not mask[bits]
-        return SetFamily(self.space, mask)
+        return SetFamily(mask)
 
     def complement_image(self) -> "SetFamily":
         """The family of complements of the members."""
-        return SetFamily(self.space, self.mask[::-1].copy())
+        return SetFamily(self.mask[::-1].copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):
             return NotImplemented
-        return self.space == other.space and bool(np.array_equal(self.mask, other.mask))
+        return bool(np.array_equal(self.mask, other.mask))
 
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
     """A total Red/Blue assignment on 2^[m]; ``red[i]`` is True iff the set
-    encoded by i is red."""
+    encoded by i is red, and ``red`` has length 2^m."""
 
-    space: CubeSpace
     red: np.ndarray
     scheme: str = ""
 
     def __post_init__(self) -> None:
-        if self.red.dtype != bool or self.red.shape != (self.space.size,):
+        if self.red.dtype != bool or self.red.shape != (1 << check_ground_size(self.m),):
             raise ValueError("assignment must be bool of length 2^m")
         if "\n" in self.scheme:
             raise ValueError("scheme label must not contain newlines")
         self.red.flags.writeable = False
 
+    @property
+    def m(self) -> int:
+        return self.red.size.bit_length() - 1
+
     def color_class(self, color: Color) -> SetFamily:
         """The members of one class.  Red shares the read-only table."""
-        return SetFamily(self.space, self.red if color is Color.RED else ~self.red)
+        return SetFamily(self.red if color is Color.RED else ~self.red)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):
             return NotImplemented
-        red = self.color_class(Color.RED)
-        return self.scheme == other.scheme and red == other.color_class(Color.RED)
+        return self.scheme == other.scheme and bool(np.array_equal(self.red, other.red))
 
 
 def make_layered(m: int) -> Coloring:
-    space = CubeSpace(m)
-    red = (popcount_table(m) & 1).astype(bool)
-    return Coloring(space, red, scheme="layered")
+    red = (popcount_table(check_ground_size(m)) & 1).astype(bool)
+    return Coloring(red, scheme="layered")
 
 
 def make_c0(n: int) -> Coloring:
     """Build the full c0 coloring on [2n]: the union of the red parts of
     the size bands, a rule on each set's size, complete pairs and element
     sum parity."""
-    space = CubeSpace.with_pairs(n)
+    m = check_ground_size(2 * n)
     low, high = (n + 1) // 2, n + n // 2
 
     def red(size, pairs, odd):
@@ -134,7 +143,7 @@ def make_c0(n: int) -> Coloring:
             | (size > n) & (size <= high) & (missed == 0)
         )
 
-    return Coloring(space, profile_table(space.m, red), scheme=f"c0 n={n}")
+    return Coloring(profile_table(m, red), scheme=f"c0 n={n}")
 
 
 # Bit i is 1 when the set encoded by i is red in c3.
@@ -144,7 +153,7 @@ _C3_RED_BITS = 0x815735E8706A2C09
 def make_c3() -> Coloring:
     """The c3 coloring of [6]: neither class holds a copy of 2^[3]."""
     red = np.array([_C3_RED_BITS >> i & 1 for i in range(64)], dtype=bool)
-    return Coloring(CubeSpace(6), red, scheme="c3")
+    return Coloring(red, scheme="c3")
 
 
 def dual_coloring(c: Coloring) -> Coloring:
@@ -161,7 +170,7 @@ def dual_coloring(c: Coloring) -> Coloring:
     else:
         red = ~c.red[::-1]
     scheme = c.scheme[5:-1] if c.scheme.startswith("dual(") and c.scheme.endswith(")") else f"dual({c.scheme})"
-    return Coloring(c.space, red, scheme=scheme)
+    return Coloring(red, scheme=scheme)
 
 
 class ColoringFormatError(ValueError):
@@ -180,13 +189,13 @@ def _qrc1_parts(c: Coloring) -> tuple[str, np.ndarray]:
     """The QRC1 header and the payload as one uint8 buffer: the payload
     rows (64 chars each) plus a newline column.  The characters are
     written in place: "B" + 16 for red is "R"."""
-    width, rows = _payload_shape(c.space.m)
+    width, rows = _payload_shape(c.m)
     lines = np.empty((rows, width + 1), dtype=np.uint8)
     lines[:, -1] = ord("\n")
     body = lines[:, :-1]
     np.multiply(c.red.view(np.uint8).reshape(-1, width), np.uint8(ord("R") - ord("B")), out=body)
     body += np.uint8(ord("B"))
-    return f"QRC1\nm={c.space.m}\nscheme={c.scheme}\n", lines
+    return f"QRC1\nm={c.m}\nscheme={c.scheme}\n", lines
 
 
 def render_coloring(c: Coloring) -> str:
@@ -228,7 +237,7 @@ def parse_coloring(text: str | bytes) -> Coloring:
     else:
         red = _payload_red(data, start, m)
         if red is not None:
-            return Coloring(CubeSpace(m), red, scheme=scheme)
+            return Coloring(red, scheme=scheme)
     if not isinstance(text, str):
         text = data.decode("utf-8")  # invalid UTF-8 raises here, at its offset
     lines = text.split("\n", 3)

@@ -27,25 +27,11 @@ class CapacityError(RuntimeError):
 _EVEN_POSITIONS = 0x55555555
 
 
-@dataclass(frozen=True)
-class CubeSpace:
-    """A ground set [m].  Even m carries the pairing {1,2},...,{m-1,m}."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.m <= MAX_GROUND_SIZE:
-            raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SIZE}, got {self.m}")
-
-    @classmethod
-    def with_pairs(cls, n: int) -> "CubeSpace":
-        """The space [2n] with pairs {1,2},...,{2n-1,2n}."""
-        return cls(m=2 * n)
-
-    @property
-    def size(self) -> int:
-        """Number of subsets, 2**m."""
-        return 1 << self.m
+def check_ground_size(m: int) -> int:
+    """Return m; raise ValueError unless it is in 1..MAX_GROUND_SIZE."""
+    if not 1 <= m <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SIZE}, got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -56,8 +42,7 @@ class ElementSet:
     m: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= MAX_GROUND_SIZE:
-            raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SIZE}, got {self.m}")
+        check_ground_size(self.m)
         if self.bits < 0 or self.bits >> self.m:
             raise ValueError(f"mask {self.bits:#x} has bits outside [{self.m}]")
 
@@ -105,10 +90,11 @@ def parse_set(text: str, m: int) -> ElementSet:
 # Only the two half index tables, of 2^(m-k) and 2^k entries, are built.
 
 # Peak bytes per subset of a command that holds dense tables over 2^[m].
-# With profile tables the heaviest, `check --n 12` (m = 24), peaks at
-# 111 MB, about 7 B per subset; the figure keeps the 12 B measured before
-# them, so that an estimate just under the machine's memory is not taken
-# as room for a command and a search over its family.
+# With profile tables the heaviest commands, at m = 24, peak at about 6 B
+# per subset (peak RSS on Linux): `check --n 12` at 94 MB, `color --n 12`
+# at 95 MB to standard output and 62 MB with --out.  The figure keeps the
+# 12 B measured before them, so that an estimate just under the machine's
+# memory is not taken as room for a command and a search over its family.
 TABLE_BYTES_PER_SUBSET = 12
 
 

@@ -56,11 +56,9 @@ class RestrictiveReport:
 def _require_over_2n(family: SetFamily, n: int) -> int:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if family.space.m != 2 * n:
-        raise ValueError(
-            f"family is over [{family.space.m}] but the check needs [{2 * n}]"
-        )
-    return family.space.m
+    if family.m != 2 * n:
+        raise ValueError(f"family is over [{family.m}] but the check needs [{2 * n}]")
+    return family.m
 
 
 def _sizes_between(m: int, lo: int, hi: int) -> int:

@@ -67,9 +67,7 @@ def stable_lines(text: str) -> list[str]:
 
 def render_embedding_block(e: Embedding) -> list[str]:
     """One line per source subset, ascending encoded value."""
-    return [
-        f"{ElementSet(i, e.n)} -> {e.images[i]}" for i in range(1 << e.n)
-    ]
+    return [f"{ElementSet(i, e.n)} -> {ElementSet(v, e.m)}" for i, v in enumerate(e.images)]
 
 
 def parse_embedding_block(lines: list[str], n: int, m: int) -> Embedding:
@@ -87,7 +85,7 @@ def parse_embedding_block(lines: list[str], n: int, m: int) -> Embedding:
             raise ValueError(f"duplicate source {source} in embedding block")
         seen[source.bits] = True
         values[source.bits] = image.bits
-    return Embedding.from_values(n, m, tuple(values))
+    return Embedding(n, m, tuple(values))
 
 
 def render_set_pair(witness) -> str:

@@ -171,26 +171,12 @@ _BATCH = 32
 
 @dataclass(frozen=True)
 class Embedding:
-    """A copy of 2^[n] inside 2^[m]: entry i of ``images`` is the image of
-    the subset of [n] encoded by i."""
+    """A copy of 2^[n] inside 2^[m]: entry i of ``images`` is the encoded
+    value of the image of the subset of [n] encoded by i."""
 
     n: int
     m: int
-    images: tuple[ElementSet, ...]
-
-    @classmethod
-    def from_values(cls, n: int, m: int, values: tuple[int, ...]) -> "Embedding":
-        return cls(n, m, tuple(ElementSet(v, m) for v in values))
-
-    @property
-    def image_values(self) -> tuple[int, ...]:
-        return tuple(s.bits for s in self.images)
-
-
-@dataclass(frozen=True)
-class EmbeddingCheck:
-    ok: bool
-    violation: str | None
+    images: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -209,11 +195,11 @@ class SearchOutcome:
     count: int | None
     nodes_explored: int
     prune_hits: dict[str, int]
-    elapsed_ms: float
 
 
-def verify_embedding(e: Embedding, family: SetFamily | None = None) -> EmbeddingCheck:
-    """Re-check an embedding from scratch: membership when a family is
+def verify_embedding(e: Embedding, family: SetFamily | None = None) -> str | None:
+    """Re-check an embedding from scratch and return the first violation
+    found, or None for a valid embedding: membership when a family is
     given, distinct images, then the two conditions that make a map f an
     order embedding:
       (a) f(A) is inside f(A + {i}) for every A and every i not in A, the
@@ -224,32 +210,28 @@ def verify_embedding(e: Embedding, family: SetFamily | None = None) -> Embedding
     f({i}) is inside f(A), inside f(B), inside f([n] - {i}), against (b).
     An embedding satisfies both.  So the distinct images, the cardinality
     gaps and the top-children bounds of an embedding follow; the distinct
-    images are still tested first, for their own message."""
+    images are still tested first, for their own message.  Raises
+    ValueError when the image count is not 2^n, an image lies outside
+    0..2^m - 1, or the family is not over [m]."""
     size = 1 << e.n
     if len(e.images) != size:
         raise ValueError(f"expected {size} images for n={e.n}, got {len(e.images)}")
-    for s in e.images:
-        if s.m != e.m:
-            raise ValueError(f"image {s} is not over [{e.m}]")
-    vals = [s.bits for s in e.images]
+    vals = list(e.images)
+    for v in vals:
+        # Checked before the family is indexed, where -1 would wrap.
+        if v < 0 or v >> e.m:
+            raise ValueError(f"image value {v} outside 0..{(1 << e.m) - 1}")
     if family is not None:
-        if family.space.m != e.m:
-            raise ValueError(
-                f"family over [{family.space.m}] but embedding targets [{e.m}]"
-            )
+        if family.m != e.m:
+            raise ValueError(f"family over [{family.m}] but embedding targets [{e.m}]")
         outside = np.flatnonzero(~family.mask[vals])
         if outside.size:
             a = int(outside[0])
-            return EmbeddingCheck(
-                False, f"image {e.images[a]} of {ElementSet(a, e.n)} not in family"
-            )
+            return f"image {ElementSet(vals[a], e.m)} of {ElementSet(a, e.n)} not in family"
     seen: dict[int, int] = {}
     for a, v in enumerate(vals):
         if v in seen:
-            return EmbeddingCheck(
-                False,
-                f"images of {ElementSet(seen[v], e.n)} and {ElementSet(a, e.n)} coincide",
-            )
+            return f"images of {ElementSet(seen[v], e.n)} and {ElementSet(a, e.n)} coincide"
         seen[v] = a
     image = np.array(vals, dtype=np.int64)
     # (a) on the cover pairs (A, A + {i}), ordered by A, then i.
@@ -263,12 +245,10 @@ def verify_embedding(e: Embedding, family: SetFamily | None = None) -> Embedding
         singles = 1 << np.arange(e.n)
         nested = np.flatnonzero((image[singles] & ~image[size - 1 - singles]) == 0)
         if not nested.size:
-            return EmbeddingCheck(True, None)
+            return None
         a = int(singles[nested[0]])
         b = size - 1 - a
-    return EmbeddingCheck(
-        False, f"order violated on ({ElementSet(a, e.n)}, {ElementSet(b, e.n)})"
-    )
+    return f"order violated on ({ElementSet(a, e.n)}, {ElementSet(b, e.n)})"
 
 
 @lru_cache(maxsize=16)
@@ -352,8 +332,8 @@ def _family_swaps(family: SetFamily, deadline: float | None = None) -> list[tupl
     other on its membership table, compared with the same table read with
     the swap's axes exchanged, which copies neither.  Raises _DeadlineHit,
     between swaps, once the deadline has passed."""
-    m = family.space.m
-    if family.size * _SPARSE <= family.space.size:
+    m = family.m
+    if family.size * _SPARSE <= family.mask.size:
         members = family.member_values().astype(np.uint32)
 
         def fixes(g):
@@ -781,11 +761,10 @@ def find_copy(
         raise ValueError(f"need n >= 1, got {n}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    start = time.perf_counter()
     # No search ran: the outcome when n exceeds m, where no injective
     # size-respecting map exists, or when the budget ends before the walk.
     found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), False
-    if n <= family.space.m:
+    if n <= family.m:
         deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         _prepare_sources(n)  # Past MAX_SOURCE_N this raises before any pool starts.
         try:
@@ -798,17 +777,16 @@ def find_copy(
             found, count, nodes, hits, hit = _search(
                 family, n, mode, prune, deadline, swaps, workers
             )
-    elapsed = (time.perf_counter() - start) * 1000.0
     if found is not None:
         # The find lists images in assignment order; sort them by source.
         values = tuple(v for _, v in sorted(zip(_prepare_sources(n)[0], found)))
-        embedding = Embedding.from_values(n, family.space.m, values)
-        check = verify_embedding(embedding, family)
-        if not check.ok:
-            raise AssertionError(f"engine produced an invalid embedding: {check.violation}")
-        return SearchOutcome("found", embedding, None, nodes, hits, elapsed)
+        embedding = Embedding(n, family.m, values)
+        violation = verify_embedding(embedding, family)
+        if violation is not None:
+            raise AssertionError(f"engine produced an invalid embedding: {violation}")
+        return SearchOutcome("found", embedding, None, nodes, hits)
     # First mode counts nothing, so only count mode can be found here.
     status = "inconclusive" if hit else "found" if count else "absent"
     count = count if mode == "count" and not hit else None
-    return SearchOutcome(status, None, count, nodes, hits, elapsed)
+    return SearchOutcome(status, None, count, nodes, hits)
 

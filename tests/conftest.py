@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from cuberamsey import Coloring, CubeSpace, SetFamily, make_c0
+from cuberamsey import Coloring, SetFamily, make_c0
 from cuberamsey.reports import stable_lines
 
 try:
@@ -21,17 +21,15 @@ def random_members(m: int, rng: random.Random, density: float = 0.5) -> list[int
 
 
 def random_family(m: int, rng: random.Random, density: float = 0.5) -> SetFamily:
-    space = CubeSpace(m)
-    mask = np.zeros(space.size, dtype=bool)
+    mask = np.zeros(1 << m, dtype=bool)
     for v in random_members(m, rng, density):
         mask[v] = True
-    return SetFamily(space, mask)
+    return SetFamily(mask)
 
 
 def random_coloring(m: int, rng: random.Random, scheme: str = "random") -> Coloring:
-    space = CubeSpace(m)
-    red = np.array([rng.random() < 0.5 for _ in range(space.size)], dtype=bool)
-    return Coloring(space, red, scheme=scheme)
+    red = np.array([rng.random() < 0.5 for _ in range(1 << m)], dtype=bool)
+    return Coloring(red, scheme=scheme)
 
 
 def tampered_c0(n):
@@ -40,7 +38,7 @@ def tampered_c0(n):
     c = make_c0(n)
     red = c.red.copy()
     red[31] = True
-    return Coloring(c.space, red, scheme="tampered")
+    return Coloring(red, scheme="tampered")
 
 
 def same_stable_report(a: str, b: str) -> bool:

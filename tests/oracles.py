@@ -15,7 +15,6 @@ import numpy as np
 from cuberamsey import (
     Coloring,
     ColoringFormatError,
-    CubeSpace,
     ElementSet,
     FlipGraphReport,
     PropertyReport,
@@ -29,7 +28,7 @@ from cuberamsey.lattice import (
     pair_count_table,
     popcount_table,
 )
-from cuberamsey.search import EmbeddingCheck, _candidate_swaps, _swap
+from cuberamsey.search import _candidate_swaps, _swap
 
 
 def subset_elements(bits: int) -> tuple[int, ...]:
@@ -252,26 +251,24 @@ def check_embedding_literal(images, n: int) -> bool:
     )
 
 
-def verify_embedding_loop(e, family=None) -> EmbeddingCheck:
+def verify_embedding_loop(e, family=None) -> str | None:
     """The embedding check over all ordered source pairs, with both
     cardinality-gap and top-children bounds: membership, distinct images,
     then the subset biconditional and the gap on each pair (a, b), a then
-    b ascending, then the top children."""
+    b ascending, then the top children.  Returns the first violation, or
+    None."""
     size = 1 << e.n
+    vals = e.images
     if family is not None:
         for a in range(size):
-            if not family.mask[e.images[a].bits]:
-                return EmbeddingCheck(
-                    False, f"image {e.images[a]} of {ElementSet(a, e.n)} not in family"
-                )
-    vals = [s.bits for s in e.images]
+            if not family.mask[vals[a]]:
+                return f"image {ElementSet(vals[a], e.m)} of {ElementSet(a, e.n)} not in family"
     seen: dict[int, int] = {}
     for a in range(size):
         if vals[a] in seen:
-            return EmbeddingCheck(
-                False,
+            return (
                 f"images of {ElementSet(seen[vals[a]], e.n)} and "
-                f"{ElementSet(a, e.n)} coincide",
+                f"{ElementSet(a, e.n)} coincide"
             )
         seen[vals[a]] = a
     for a in range(size):
@@ -281,17 +278,13 @@ def verify_embedding_loop(e, family=None) -> EmbeddingCheck:
             sub = a & b == a
             img_sub = vals[a] & vals[b] == vals[a]
             if sub != img_sub:
-                return EmbeddingCheck(
-                    False,
-                    f"order violated on ({ElementSet(a, e.n)}, {ElementSet(b, e.n)})",
-                )
+                return f"order violated on ({ElementSet(a, e.n)}, {ElementSet(b, e.n)})"
             if sub:
                 gap = vals[b].bit_count() - vals[a].bit_count()
                 if gap < b.bit_count() - a.bit_count():
-                    return EmbeddingCheck(
-                        False,
+                    return (
                         "cardinality gap too small on "
-                        f"({ElementSet(a, e.n)}, {ElementSet(b, e.n)})",
+                        f"({ElementSet(a, e.n)}, {ElementSet(b, e.n)})"
                     )
     full = size - 1
     top_size = vals[full].bit_count()
@@ -301,12 +294,11 @@ def verify_embedding_loop(e, family=None) -> EmbeddingCheck:
         low = imask & -imask
         inter[imask] = inter[imask ^ low] & vals[full ^ low]
         if inter[imask].bit_count() > top_size - imask.bit_count():
-            return EmbeddingCheck(
-                False,
+            return (
                 f"top children over {ElementSet(imask, e.n)} intersect "
-                "in too many elements",
+                "in too many elements"
             )
-    return EmbeddingCheck(True, None)
+    return None
 
 
 def family_has_copy(family_mask: int, n: int, m: int) -> bool:
@@ -445,7 +437,7 @@ def parse_coloring_loop(text: str) -> Coloring:
         raise ColoringFormatError(
             f"payload has {seen} entries, expected {expected}", len(lines) + 1, 1
         )
-    return Coloring(CubeSpace(m), red, scheme=scheme)
+    return Coloring(red, scheme=scheme)
 
 
 def transversals_literal(n: int) -> list[int]:
@@ -565,7 +557,7 @@ def qrc1_where(c: Coloring) -> str:
     width = min(64, c.red.size)
     lines = np.full((c.red.size // width, width + 1), ord("\n"), dtype=np.uint8)
     lines[:, :-1] = np.where(c.red, np.uint8(ord("R")), np.uint8(ord("B"))).reshape(-1, width)
-    return f"QRC1\nm={c.space.m}\nscheme={c.scheme}\n" + lines.tobytes().decode("ascii")
+    return f"QRC1\nm={c.m}\nscheme={c.scheme}\n" + lines.tobytes().decode("ascii")
 
 
 def family_swaps_members(family) -> list[tuple[int, int]]:
@@ -573,7 +565,7 @@ def family_swaps_members(family) -> list[tuple[int, int]]:
     checked by one vectorised gather of the swapped member array."""
     members = family.member_values().astype(np.uint32)
     return [
-        g for g in _candidate_swaps(family.space.m) if family.mask[_swap(members, *g)].all()
+        g for g in _candidate_swaps(family.m) if family.mask[_swap(members, *g)].all()
     ]
 
 
@@ -611,10 +603,10 @@ def layer_masks(m: int, k: int):
         v = ripple | (((v ^ ripple) >> 2) // low)
 
 
-def iterate_layer(space: CubeSpace, k: int):
-    """All size-k subsets of the space, in increasing encoded-value order."""
-    for bits in layer_masks(space.m, k):
-        yield ElementSet(bits, space.m)
+def iterate_layer(m: int, k: int):
+    """All size-k subsets of [m], in increasing encoded-value order."""
+    for bits in layer_masks(m, k):
+        yield ElementSet(bits, m)
 
 
 def extend_to_maximal(family, s: ElementSet, n: int) -> ElementSet:
@@ -627,10 +619,10 @@ def extend_to_maximal(family, s: ElementSet, n: int) -> ElementSet:
     of every still-missed pair.  Raises if the input already has more than
     n//2 pairs, which cannot happen for a member of a restrictive family.
     """
-    if family.space.m != 2 * n:
-        raise ValueError(f"family is over [{family.space.m}] but the check needs [{2 * n}]")
-    if s.m != family.space.m:
-        raise ValueError(f"set over [{s.m}] but family is over [{family.space.m}]")
+    if family.m != 2 * n:
+        raise ValueError(f"family is over [{family.m}] but the check needs [{2 * n}]")
+    if s.m != family.m:
+        raise ValueError(f"set over [{s.m}] but family is over [{family.m}]")
     if not family.mask[s.bits]:
         raise ValueError(f"{s} is not a member of the family")
 

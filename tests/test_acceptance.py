@@ -21,7 +21,6 @@ from oracles import extend_to_maximal, naive_count_embeddings
 from conftest import random_coloring, random_family
 from cuberamsey import (
     Color,
-    CubeSpace,
     ElementSet,
     SetFamily,
     build_flip_graph,
@@ -208,7 +207,7 @@ def test_criterion_07_derived_bounds_hold_on_all_found_embeddings():
     # Make the pool self-sufficient when this test runs alone.
     for m in (2, 3, 4):
         for n in range(1, min(m, 3) + 1):
-            out = find_copy(SetFamily(CubeSpace(m), np.ones(1 << m, dtype=bool)), n)
+            out = find_copy(SetFamily(np.ones(1 << m, dtype=bool)), n)
             assert out.status == "found"
             FOUND_POOL.append(out.embedding)
     for color in (Color.RED, Color.BLUE):
@@ -225,7 +224,7 @@ def test_criterion_07_derived_bounds_hold_on_all_found_embeddings():
     assert len(FOUND_POOL) > 50
     violations = 0
     for e in FOUND_POOL:
-        vals = list(e.image_values)
+        vals = list(e.images)
         size = 1 << e.n
         for a in range(size):
             for b in range(size):
@@ -276,7 +275,7 @@ def test_criterion_09_extension_sweep_n4_n5_n6():
             if ext.bits in seen_tops:
                 continue  # same augmented family as an earlier member
             seen_tops.add(ext.bits)
-            aug = family if family.mask[ext.bits] else family.with_toggled(ext)
+            aug = family if family.mask[ext.bits] else family.with_toggled(ext.bits)
             assert is_restrictive(aug, n).holds, (n, str(s))
     _clear_big_tables()
     print("criterion 9 PASS: maximal completions valid over the red class, n=4..6")

@@ -11,7 +11,6 @@ from conftest import random_members
 from cuberamsey import (
     CapacityError,
     Color,
-    CubeSpace,
     SetFamily,
     copy_image_masks,
     exists_good_coloring,
@@ -36,7 +35,7 @@ CATALOG_SIZES = {
 
 
 def family_from_mask(r, m):
-    return SetFamily.from_sets(CubeSpace(m), [v for v in range(1 << m) if r >> v & 1])
+    return SetFamily.from_sets(m, [v for v in range(1 << m) if r >> v & 1])
 
 
 class TestCopyCatalog:

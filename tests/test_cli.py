@@ -7,7 +7,6 @@ from conftest import same_stable_report, tampered_c0
 from cuberamsey import (
     Color,
     Coloring,
-    CubeSpace,
     Embedding,
     SearchOutcome,
     load_coloring,
@@ -46,11 +45,11 @@ def fake_find_copy(monkeypatch, statuses=()):
         status = queue.pop(0) if queue else "absent"
         embedding = None
         if status == "found":
-            embedding = Embedding.from_values(n, family.space.m, tuple(range(1 << n)))
+            embedding = Embedding(n, family.m, tuple(range(1 << n)))
         hits = dict.fromkeys(
             ("root-gap", "cardinality-window", "source-symmetry", "target-symmetry"), 0
         )
-        return SearchOutcome(status, embedding, None, 0, hits, 0.0)
+        return SearchOutcome(status, embedding, None, 0, hits)
 
     monkeypatch.setattr(cli, "find_copy", fake)
     return calls
@@ -112,7 +111,7 @@ class TestColorCommand:
     def test_layered_ground_override(self, capsys, tmp_path):
         path = tmp_path / "lay4.qrc1"
         run(capsys, "color", "--n", 3, "--scheme", "layered", "--m", 4, "--out", path)
-        assert load_coloring(path).space.m == 4
+        assert load_coloring(path).m == 4
 
     def test_paired_scheme_rejects_ground_override(self, capsys):
         code, _, err = run(capsys, "color", "--n", 3, "--scheme", "c0", "--m", 5)
@@ -129,6 +128,21 @@ class TestColorCommand:
         assert code == EXIT_OK
         fields, _ = parse_report(out)
         assert fields["red"] == fields["blue"] == "absent"
+
+    @pytest.mark.parametrize(
+        "args,size",
+        [
+            (("--n", 2, "--scheme", "layered", "--m", 0), 0),
+            (("--n", 2, "--scheme", "layered", "--m", 40), 40),
+            (("--n", 17, "--scheme", "c0"), 34),
+            (("--n", 0, "--scheme", "c0"), 0),
+        ],
+    )
+    def test_ground_size_out_of_range_exit_1(self, capsys, args, size):
+        code, out, err = run(capsys, "color", *args)
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err == f"error: ground-set size must be in 1..32, got {size}\n"
 
     @pytest.mark.parametrize("args", [("--n", 4), ("--n", 3, "--m", 7)])
     def test_c3_is_for_n3_only(self, capsys, args):
@@ -278,7 +292,7 @@ class TestFindCopyCommand:
     def test_search_deeper_than_default_recursion_limit(self, capsys, tmp_path):
         # A copy of 2^[10] has 1,024 positions, one recursion level each.
         path = tmp_path / "red10.qrc1"
-        save_coloring(Coloring(CubeSpace(10), np.ones(1 << 10, dtype=bool), "all red"), path)
+        save_coloring(Coloring(np.ones(1 << 10, dtype=bool), "all red"), path)
         report = tmp_path / "report.txt"
         code, _, _ = run(
             capsys,

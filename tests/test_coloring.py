@@ -15,7 +15,6 @@ from cuberamsey import (
     Color,
     Coloring,
     ColoringFormatError,
-    CubeSpace,
     ElementSet,
     SetFamily,
     dual_coloring,
@@ -30,35 +29,39 @@ from cuberamsey import (
 
 class TestSetFamily:
     def test_from_sets_and_contains(self):
-        space = CubeSpace(4)
-        fam = SetFamily.from_sets(space, [ElementSet(0b11, 4), 5, 5])
+        fam = SetFamily.from_sets(4, [0b11, 5, 5])
         assert fam.size == 2
         assert fam.mask[0b11] and fam.mask[5]
         assert not fam.mask[0]
 
     def test_member_values_ascending(self):
-        space = CubeSpace(3)
-        fam = SetFamily.from_sets(space, [6, 1, 3])
+        fam = SetFamily.from_sets(3, [6, 1, 3])
         assert list(fam.member_values()) == [1, 3, 6]
 
     def test_full(self):
-        fam = SetFamily(CubeSpace(3), np.ones(8, dtype=bool))
+        fam = SetFamily(np.ones(8, dtype=bool))
         assert fam.size == 8
 
     def test_with_toggled(self):
-        space = CubeSpace(3)
-        fam = SetFamily.from_sets(space, [1])
+        fam = SetFamily.from_sets(3, [1])
         assert fam.with_toggled(2).mask[2]
         assert not fam.with_toggled(1).mask[1]
         assert fam.mask[1]  # original untouched
 
+    @pytest.mark.parametrize("v", [-1, 8, 9])
+    def test_rejects_values_outside_the_cube(self, v):
+        # -1 would wrap round to the top of the table, 8 = 2^3 is past it.
+        with pytest.raises(ValueError, match=f"set value {v} outside 0..7"):
+            SetFamily.from_sets(3, [1, v])
+        with pytest.raises(ValueError, match=f"set value {v} outside 0..7"):
+            SetFamily.from_sets(3, [1]).with_toggled(v)
+
     def test_complement_image_literal(self):
-        space = CubeSpace(4)
         rng = random.Random(3)
-        fam = SetFamily.from_sets(space, [v for v in range(16) if rng.random() < 0.5])
+        fam = SetFamily.from_sets(4, [v for v in range(16) if rng.random() < 0.5])
         comp = fam.complement_image()
-        for v in range(space.size):
-            assert comp.mask[v] == fam.mask[(space.size - 1) ^ v]
+        for v in range(16):
+            assert comp.mask[v] == fam.mask[15 ^ v]
 
     def test_equality_compares_space_and_members(self):
         fam = make_c0(2).color_class(Color.BLUE)
@@ -67,14 +70,20 @@ class TestSetFamily:
         for v in (0, 5, 15):
             assert fam.with_toggled(v) != fam
         assert fam != object()
-        full = lambda m: SetFamily(CubeSpace(m), np.ones(1 << m, dtype=bool))
+        full = lambda m: SetFamily(np.ones(1 << m, dtype=bool))
         assert full(2) != full(3)
 
     def test_rejects_bad_mask(self):
+        # Lengths that are not a power of two.
+        for length in (3, 6, 24):
+            with pytest.raises(ValueError, match="family mask must be bool of length 2"):
+                SetFamily(np.zeros(length, dtype=bool))
+        with pytest.raises(ValueError, match="family mask must be bool of length 2"):
+            SetFamily(np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
-            SetFamily(CubeSpace(2), np.zeros(3, dtype=bool))
-        with pytest.raises(ValueError):
-            SetFamily(CubeSpace(2), np.zeros(4, dtype=np.uint8))
+            SetFamily(np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ValueError, match="ground-set size must be in 1..32, got 0"):
+            SetFamily(np.zeros(1, dtype=bool))
 
 
 class TestColoringClass:
@@ -89,11 +98,11 @@ class TestColoringClass:
 
     def test_rejects_newline_scheme(self):
         with pytest.raises(ValueError):
-            Coloring(CubeSpace(1), np.zeros(2, dtype=bool), scheme="a\nb")
+            Coloring(np.zeros(2, dtype=bool), scheme="a\nb")
 
     def test_equality_includes_scheme(self):
         a = make_layered(2)
-        b = Coloring(a.space, a.red.copy(), scheme="other")
+        b = Coloring(a.red.copy(), scheme="other")
         assert a != b
         assert a == make_layered(2)
 
@@ -143,7 +152,7 @@ class TestC0Scheme:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_vectorized_matches_scalar_and_literal(self, n):
         c = make_c0(n)
-        for v in range(c.space.size):
+        for v in range(c.red.size):
             assert c.red[v] == (oracles.c0_color_literal(v, n) == Color.RED.value)
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -164,9 +173,8 @@ class TestDualColoring:
         rng = random.Random(m)
         c = random_coloring(m, rng)
         d = dual_coloring(c)
-        space = c.space
-        for v in range(space.size):
-            assert d.red[v] != c.red[(space.size - 1) ^ v]
+        for v in range(1 << m):
+            assert d.red[v] != c.red[((1 << m) - 1) ^ v]
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_matches_reversed_negation(self, m):
@@ -176,7 +184,7 @@ class TestDualColoring:
 
     def test_strided_table(self):
         red = np.random.default_rng(5).random(32) < 0.5
-        c = Coloring(CubeSpace(4), red[::2])
+        c = Coloring(red[::2])
         assert np.array_equal(dual_coloring(c).red, ~red[::2][::-1])
 
     def test_involution_including_scheme(self):
@@ -215,7 +223,7 @@ class TestQRC1Format:
 
     def test_save_load_byte_exact(self, tmp_path):
         path = tmp_path / "c.qrc1"
-        for c in (make_c0(3), Coloring(CubeSpace(2), make_layered(2).red, "größe ≤ 2")):
+        for c in (make_c0(3), Coloring(make_layered(2).red, "größe ≤ 2")):
             save_coloring(c, path)
             assert path.read_bytes().decode() == render_coloring(c)
             assert load_coloring(path) == c
@@ -333,7 +341,7 @@ class TestParseMatchesLoop:
     def test_illegal_character_deep_in_file(self):
         # The size `color --n 12` writes: 2^24 entries on 262,144 lines.
         red = np.random.default_rng(12).random(1 << 24) < 0.5
-        text = render_coloring(Coloring(CubeSpace(24), red, scheme="s"))
+        text = render_coloring(Coloring(red, scheme="s"))
         at = len("QRC1\nm=24\nscheme=s\n") + 96 * 65 + 16  # line 100, column 17
         text = text[:at] + "X" + text[at + 1 :]
         assert parse_outcome(parse_coloring, text) == (
@@ -429,7 +437,7 @@ class TestLoadMatchesParse:
             assert read_outcome(parse_coloring, text) == want
 
     def test_valid_non_ascii_label(self, tmp_path):
-        c = Coloring(CubeSpace(3), make_layered(3).red, "gr\u00f6\u00dfe \u2264 2")
+        c = Coloring(make_layered(3).red, "gr\u00f6\u00dfe \u2264 2")
         path = tmp_path / "c.qrc1"
         save_coloring(c, path)
         assert load_coloring(path) == parse_coloring(path.read_bytes()) == c
@@ -473,5 +481,5 @@ class TestLoadMatchesParse:
 def test_roundtrip_property(m, data):
     bits = data.draw(st.integers(0, (1 << (1 << m)) - 1))
     red = np.array([(bits >> v) & 1 == 1 for v in range(1 << m)], dtype=bool)
-    c = Coloring(CubeSpace(m), red, scheme="prop")
+    c = Coloring(red, scheme="prop")
     assert parse_coloring(render_coloring(c)) == c

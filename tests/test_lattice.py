@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import hit_probe, iterate_layer, layer_masks, pair_probe
-from cuberamsey import CapacityError, CubeSpace, ElementSet, parse_set
-from cuberamsey import lattice
+from cuberamsey import (
+    CapacityError,
+    Coloring,
+    ElementSet,
+    SetFamily,
+    make_c0,
+    make_layered,
+    parse_set,
+)
+from cuberamsey import coloring, lattice
 from cuberamsey.lattice import (
     TABLE_BYTES_PER_SUBSET,
     index_table,
@@ -27,20 +35,35 @@ from cuberamsey.lattice import (
 masks_over = lambda m: st.integers(min_value=0, max_value=(1 << m) - 1)
 
 
-class TestCubeSpace:
-    def test_basic_properties(self):
-        space = CubeSpace(5)
-        assert space.size == 32
-        assert space.size - 1 == 0b11111
+class TestGroundSize:
+    def test_m_from_table_length(self):
+        assert SetFamily(np.ones(32, dtype=bool)).m == 5
+        assert Coloring(np.zeros(32, dtype=bool)).m == 5
+        assert make_layered(5).m == 5
 
-    def test_paired_space(self):
-        space = CubeSpace.with_pairs(4)
-        assert space.m == 8
+    def test_c0_is_over_2n(self):
+        assert make_c0(4).m == 8
 
-    @pytest.mark.parametrize("m", [0, -1, 33])
-    def test_rejects_bad_ground_size(self, m):
-        with pytest.raises(ValueError):
-            CubeSpace(m)
+    @pytest.mark.parametrize("m", [0, -1, 33, 34, 40])
+    def test_rejects_bad_ground_size(self, m, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("built a table for a bad ground-set size")
+
+        # Refused before any table is built.
+        for name in ("popcount_table", "profile_table"):
+            monkeypatch.setattr(coloring, name, unreachable)
+        message = f"ground-set size must be in 1..32, got {m}"
+        with pytest.raises(ValueError, match=message):
+            lattice.check_ground_size(m)
+        with pytest.raises(ValueError, match=message):
+            make_layered(m)
+        if m % 2 == 0:
+            with pytest.raises(ValueError, match=message):
+                make_c0(m // 2)
+        with pytest.raises(ValueError, match=message):
+            ElementSet(0, m)
+        with pytest.raises(ValueError, match=message):
+            SetFamily.from_sets(m, [])
 
 
 class TestElementSet:
@@ -181,8 +204,7 @@ class TestLayers:
         assert sorted(seen) == list(range(1 << m))
 
     def test_iterate_layer_yields_sets(self):
-        space = CubeSpace(4)
-        sets = list(iterate_layer(space, 2))
+        sets = list(iterate_layer(4, 2))
         assert all(isinstance(s, ElementSet) and s.size == 2 for s in sets)
         assert len(sets) == 6
 
@@ -195,14 +217,13 @@ class TestLayers:
 class TestTables:
     @pytest.mark.parametrize("m", [2, 6])
     def test_tables_match_scalar_functions(self, m):
-        space = CubeSpace(m)
         n = m // 2
         pc = popcount_table(m)
         pairs = pair_count_table(m)
         miss = missed_count_table(m)
         odd = odd_sum_table(m)
         idx = index_table(m)
-        for v in range(space.size):
+        for v in range(1 << m):
             s = ElementSet(v, m)
             assert idx[v] == v
             assert pc[v] == s.size

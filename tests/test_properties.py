@@ -11,7 +11,6 @@ from oracles import extend_to_maximal, violates_flip_pair
 from conftest import random_family, tampered_c0
 from cuberamsey import (
     Color,
-    CubeSpace,
     ElementSet,
     SetFamily,
     build_flip_graph,
@@ -33,13 +32,13 @@ from cuberamsey.lattice import (
 
 
 def family_over(n, values):
-    return SetFamily.from_sets(CubeSpace.with_pairs(n), values)
+    return SetFamily.from_sets(2 * n, values)
 
 
 def sets_over(n, *texts):
     from cuberamsey import parse_set
 
-    return [parse_set(t, 2 * n) for t in texts]
+    return [parse_set(t, 2 * n).bits for t in texts]
 
 
 CHECKERS = {
@@ -52,13 +51,13 @@ CHECKERS = {
 
 class TestValidation:
     def test_rejects_wrong_ground_set(self):
-        fam = SetFamily.from_sets(CubeSpace(7), [1])
+        fam = SetFamily.from_sets(7, [1])
         for checker, _ in CHECKERS.values():
             with pytest.raises(ValueError):
                 checker(fam, 3)
 
     def test_rejects_nonpositive_n(self):
-        fam = SetFamily.from_sets(CubeSpace(2), [1])
+        fam = SetFamily.from_sets(2, [1])
         with pytest.raises(ValueError):
             is_pair_enforcing(fam, 0)
 
@@ -109,7 +108,7 @@ class TestMissForbidding:
 
 class TestNotTooHigh:
     def test_oversized_member_fails(self):
-        fam = family_over(4, [ElementSet(0xFF, 8)])
+        fam = family_over(4, [0xFF])
         rep = is_not_too_high(fam, 4)
         assert not rep.holds
         assert str(rep.witness) == "{1,2,3,4,5,6,7,8}"
@@ -147,15 +146,12 @@ class TestFlipSusceptible:
         # A partner swap flips the element-sum parity, so a one-parity
         # family of transversals has no qualifying pair.
         for n in (2, 3, 4, 5):
-            m = 2 * n
             tv = oracles.transversals_literal(n)
             odd = [t for t in tv if oracles.sum_parity(t) == "odd"]
             even = [t for t in tv if oracles.sum_parity(t) == "even"]
-            assert is_flip_susceptible(family_over(n, [ElementSet(t, m) for t in odd]), n).holds
-            assert is_flip_susceptible(family_over(n, [ElementSet(t, m) for t in even]), n).holds
-            rep = is_flip_susceptible(
-                family_over(n, [ElementSet(t, m) for t in tv]), n
-            )
+            assert is_flip_susceptible(family_over(n, odd), n).holds
+            assert is_flip_susceptible(family_over(n, even), n).holds
+            rep = is_flip_susceptible(family_over(n, tv), n)
             assert not rep.holds
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -163,18 +159,17 @@ class TestFlipSusceptible:
         # Random families; half keep only one parity class of transversals
         # (which holds) and then may get one planted swap pair.
         rng = np.random.default_rng(1300 + n)
-        space = CubeSpace.with_pairs(n)
         tv = np.array(oracles.transversals_literal(n))
         odd = np.array([oracles.sum_parity(int(t)) == "odd" for t in tv])
         _, edges = oracles.flip_graph_loop(n)
         outcomes = []
         for _ in range(200):
-            mask = rng.random(space.size) < rng.uniform(0, 1)
+            mask = rng.random(1 << 2 * n) < rng.uniform(0, 1)
             if rng.random() < 0.5:
                 mask[tv[odd == bool(rng.integers(2))]] = False
                 if rng.random() < 0.5:
                     mask[list(edges[rng.integers(len(edges))])] = True
-            fam = SetFamily(space, mask)
+            fam = SetFamily(mask)
             rep = is_flip_susceptible(fam, n)
             assert rep == oracles.flip_susceptible_loop(fam, n)
             outcomes.append(rep.holds)
@@ -206,7 +201,7 @@ class TestAgainstLiteralOracle:
         # members keeps all four properties, so these hold.
         red = make_c0(n).color_class(Color.RED)
         held = [
-            SetFamily(red.space, red.mask & random_family(2 * n, rng, rng.uniform(0.1, 0.9)).mask)
+            SetFamily(red.mask & random_family(2 * n, rng, rng.uniform(0.1, 0.9)).mask)
             for _ in range(20)
         ]
         for fam in families + held:
@@ -300,7 +295,7 @@ class TestAgainstTableChecks:
             for band in bands:
                 if band.size:
                     mask[rng.sample(band.tolist(), min(3, band.size))] = True
-            fam = SetFamily(base.space, mask)
+            fam = SetFamily(mask)
             reports = is_restrictive(fam, n).subreports[:3]
             for report, (check, oracle), band in zip(reports, self.CHECKS, bands):
                 assert report == check(fam, n) == oracle(fam, n), check.__name__
@@ -371,7 +366,7 @@ class TestExtendToMaximal:
 
     def test_rejects_too_many_pairs(self):
         s = ElementSet.from_elements([1, 2, 3, 4, 5, 6], 8)
-        fam = SetFamily.from_sets(CubeSpace(8), [s])
+        fam = SetFamily.from_sets(8, [s.bits])
         with pytest.raises(ValueError, match="pairs"):
             extend_to_maximal(fam, s, 4)
 
@@ -383,7 +378,6 @@ class TestExtendToMaximal:
         assert parse_set("{1,3}", 8).bits not in self.family.member_values()
 
     def test_rejects_wrong_space(self):
-        fam = SetFamily.from_sets(CubeSpace(6), [1])
         with pytest.raises(ValueError):
             extend_to_maximal(self.family, ElementSet(1, 6), 4)
 
@@ -396,7 +390,7 @@ class TestExtendToMaximal:
             assert oracles.pairs_and_singles(ext.bits, n)[0] == n // 2
             assert oracles.missed(ext.bits, n) == []
             assert ext.bits & s.bits == s.bits  # superset
-            aug = self.family if self.family.mask[ext.bits] else self.family.with_toggled(ext)
+            aug = self.family if self.family.mask[ext.bits] else self.family.with_toggled(ext.bits)
             assert is_restrictive(aug, n).holds, str(s)
 
     def test_deterministic(self):

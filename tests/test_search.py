@@ -20,7 +20,7 @@ from conftest import random_family
 from cuberamsey import (
     Color,
     Coloring,
-    CubeSpace,
+    ElementSet,
     Embedding,
     SetFamily,
     copy_image_masks,
@@ -31,6 +31,7 @@ from cuberamsey import (
     verify_embedding,
 )
 from cuberamsey import search
+from cuberamsey.reports import parse_embedding_block, render_embedding_block
 
 PRUNE_NAMES = ("root-gap", "cardinality-window", "source-symmetry", "target-symmetry")
 
@@ -50,7 +51,7 @@ FULL_CUBE_COUNTS = {
 
 
 def full_family(m):
-    return SetFamily(CubeSpace(m), np.ones(1 << m, dtype=bool))
+    return SetFamily(np.ones(1 << m, dtype=bool))
 
 
 def members_of(fam):
@@ -85,42 +86,46 @@ def group_order(perms, m):
 
 class TestVerifyEmbedding:
     def test_identity_on_full_cube(self):
-        e = Embedding.from_values(2, 2, (0, 1, 2, 3))
-        assert verify_embedding(e).ok
-        assert verify_embedding(e, full_family(2)).ok
+        e = Embedding(2, 2, (0, 1, 2, 3))
+        assert verify_embedding(e) is None
+        assert verify_embedding(e, full_family(2)) is None
 
     def test_uniform_augmentation(self):
         # S -> S + {3} over [3]
-        e = Embedding.from_values(2, 3, (4, 5, 6, 7))
-        assert verify_embedding(e).ok
+        e = Embedding(2, 3, (4, 5, 6, 7))
+        assert verify_embedding(e) is None
 
     def test_order_violation(self):
-        e = Embedding.from_values(1, 2, (1, 0))
-        check = verify_embedding(e)
-        assert not check.ok and "order" in check.violation
+        e = Embedding(1, 2, (1, 0))
+        assert verify_embedding(e) == "order violated on ({}, {1})"
 
     def test_duplicate_images(self):
-        e = Embedding.from_values(1, 2, (1, 1))
-        check = verify_embedding(e)
-        assert not check.ok and "coincide" in check.violation
+        e = Embedding(1, 2, (1, 1))
+        assert verify_embedding(e) == "images of {} and {1} coincide"
 
     def test_membership_violation(self):
-        fam = SetFamily.from_sets(CubeSpace(2), [0])
-        e = Embedding.from_values(1, 2, (0, 1))
-        check = verify_embedding(e, fam)
-        assert not check.ok and "not in family" in check.violation
+        fam = SetFamily.from_sets(2, [0])
+        e = Embedding(1, 2, (0, 1))
+        assert verify_embedding(e, fam) == "image {1} of {1} not in family"
 
     def test_incomparable_sources_comparable_images(self):
         # {1} and {2} map onto nested sets
-        e = Embedding.from_values(2, 3, (0, 1, 3, 7))
-        assert not verify_embedding(e).ok
+        e = Embedding(2, 3, (0, 1, 3, 7))
+        assert verify_embedding(e) is not None
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
-            verify_embedding(Embedding.from_values(2, 2, (0, 1, 2)))
-        e = Embedding.from_values(1, 3, (0, 1))
+            verify_embedding(Embedding(2, 2, (0, 1, 2)))
+        e = Embedding(1, 3, (0, 1))
         with pytest.raises(ValueError):
             verify_embedding(e, full_family(2))
+        # Images outside 0..2^m - 1 are refused before the family is
+        # indexed: -1 would wrap round to its last entry, a member.
+        for bad in (-1, 8):
+            e = Embedding(1, 3, (0, bad))
+            for family in (None, full_family(3)):
+                with pytest.raises(ValueError, match=f"image value {bad} outside 0..7"):
+                    verify_embedding(e, family)
 
     def test_agrees_with_pairwise_loop(self):
         # Seeded maps, n <= 4 and m <= 7: product embeddings (valid), the
@@ -148,29 +153,32 @@ class TestVerifyEmbedding:
                 values[a], values[b] = values[b], values[a]
             elif kind == 3:
                 values = [rng.randrange(1 << m) for _ in range(1 << n)]
-            e = Embedding.from_values(n, m, tuple(values))
+            e = Embedding(n, m, tuple(values))
             fam = SetFamily.from_sets(
-                CubeSpace(m), [v for v in range(1 << m) if v in values or rng.random() < 0.2]
+                m, [v for v in range(1 << m) if v in values or rng.random() < 0.2]
             )
             for family in (None, fam if rng.random() < 0.9 else random_family(m, rng)):
                 want = oracles.verify_embedding_loop(e, family)
                 got = verify_embedding(e, family)
-                assert got.ok == want.ok, (values, family)
-                verdicts[got.ok] += 1
-                if not want.ok and "order" not in want.violation and "gap" not in want.violation:
-                    assert got.violation == want.violation
+                assert (got is None) == (want is None), (values, family)
+                verdicts[got is None] += 1
+                if want is not None and "order" not in want and "gap" not in want:
+                    assert got == want
         assert min(verdicts.values()) > 1000
 
     def test_checks_n12_in_milliseconds(self):
-        e = Embedding.from_values(12, 12, tuple(range(1 << 12)))
+        e = Embedding(12, 12, tuple(range(1 << 12)))
         start = time.perf_counter()
-        assert verify_embedding(e, full_family(12)).ok
+        assert verify_embedding(e, full_family(12)) is None
         assert time.perf_counter() - start < 0.2
 
     def test_image_of(self):
-        e = Embedding.from_values(2, 3, (0, 1, 2, 7))
-        assert e.images[3].bits == 7 and e.images[3].m == 3
-        assert e.image_values == (0, 1, 2, 7)
+        # Entry i is the image of the source set encoded by i, in the
+        # report's block as in the embedding.
+        e = Embedding(2, 3, (0, 1, 2, 7))
+        lines = render_embedding_block(e)
+        assert lines[3] == "{1,2} -> {1,2,3}"
+        assert parse_embedding_block(lines, 2, 3) == e
 
 
 class TestFindCopyBasics:
@@ -201,7 +209,7 @@ class TestFindCopyBasics:
         assert out.status == "absent" and out.count == 0
 
     def test_source_cap(self):
-        fam = SetFamily.from_sets(CubeSpace(13), [])
+        fam = SetFamily.from_sets(13, [])
         with pytest.raises(ValueError):
             find_copy(fam, 13)
         assert find_copy(fam, 14).status == "absent"
@@ -210,7 +218,7 @@ class TestFindCopyBasics:
         for n in (1, 2, 3):
             out = find_copy(full_family(n), n)
             assert out.status == "found"
-            assert out.embedding.image_values == tuple(range(1 << n))
+            assert out.embedding.images == tuple(range(1 << n))
 
     def test_deterministic_witness(self):
         fam = make_c0(3).color_class(Color.RED)
@@ -223,7 +231,6 @@ class TestFindCopyBasics:
         assert out.status == "found"
         assert out.count is None
         assert set(out.prune_hits) == set(PRUNE_NAMES)
-        assert out.elapsed_ms >= 0
 
 
 class TestCountsAgainstOracles:
@@ -261,7 +268,7 @@ class TestCountsAgainstOracles:
                 first = find_copy(fam, n)
                 assert (first.status == "found") == (expected > 0)
                 if first.status == "found":
-                    assert verify_embedding(first.embedding, fam).ok
+                    assert verify_embedding(first.embedding, fam) is None
 
     def test_distinct_catalog_matches_engine_everywhere(self):
         for m in range(1, 5):
@@ -291,12 +298,12 @@ class TestStructuralCases:
     def test_non_join_respecting_copy_is_found(self):
         # The only copies send {1,2} to {1,2,3}, a strict superset of the
         # union of the middle images; the search must not assume unions.
-        fam = SetFamily.from_sets(CubeSpace(3), [0, 1, 2, 7])
+        fam = SetFamily.from_sets(3, [0, 1, 2, 7])
         out = find_copy(fam, 2)
         assert out.status == "found"
         e = out.embedding
-        assert e.images[3].bits == 7
-        assert e.images[1].bits | e.images[2].bits != e.images[3].bits
+        assert e.images[3] == 7
+        assert e.images[1] | e.images[2] != e.images[3]
         assert find_copy(fam, 2, mode="count").count == 2
 
     def test_monotone_under_family_growth(self):
@@ -305,9 +312,7 @@ class TestStructuralCases:
             fam = random_family(4, rng, density=0.4)
             out = find_copy(fam, 2)
             grown = fam.with_toggled(rng.randrange(16)) if rng.random() < 0.5 else fam
-            bigger = SetFamily(
-                fam.space, fam.mask | grown.mask
-            )
+            bigger = SetFamily(fam.mask | grown.mask)
             if out.status == "found":
                 assert find_copy(bigger, 2).status == "found"
 
@@ -454,7 +459,7 @@ class TestTargetSymmetry:
             if swaps:
                 idx = np.arange(1 << m, dtype=np.uint32)
                 image = fam.mask[search._swap(idx, *rng.choice(swaps))]
-                families.append(SetFamily(fam.space, fam.mask | image))
+                families.append(SetFamily(fam.mask | image))
         kept = 0
         for fam in families:
             swaps = search._family_swaps(fam)
@@ -571,8 +576,8 @@ class TestDeepSearch:
         fam = full_family(10)
         out = find_copy(fam, 10, workers=workers)
         assert out.status == "found"
-        assert out.embedding.image_values == tuple(range(1 << 10))
-        assert verify_embedding(out.embedding, fam).ok
+        assert out.embedding.images == tuple(range(1 << 10))
+        assert verify_embedding(out.embedding, fam) is None
 
 
 class TestInWindowGeneration:
@@ -642,7 +647,7 @@ def planted_c0_n4(color, mask, free):
         if not w:
             break
         w = (w - 1) & free
-    return Coloring(c0.space, red, "planted").color_class(color)
+    return Coloring(red, "planted").color_class(color)
 
 
 # Planted-copy families of the kind the benchmark scans: Red copies below a
@@ -716,7 +721,7 @@ class TestBudget:
     def test_budget_holds_with_no_accepted_node(self):
         # The singleton level walks 2^22 candidates, none a member; the
         # deadline is checked per candidate chunk, not only per node.
-        fam = SetFamily.from_sets(CubeSpace(22), [0, (1 << 22) - 1])
+        fam = SetFamily.from_sets(22, [0, (1 << 22) - 1])
         start = time.perf_counter()
         out = find_copy(fam, 2, budget_ms=50.0)
         assert out.status == "inconclusive"
@@ -724,8 +729,7 @@ class TestBudget:
         assert time.perf_counter() - start < 2.0
         # An antichain: every root pair is rejected before it becomes a
         # node, so the deadline is checked per root bottom.
-        fam = SetFamily.from_sets(
-            CubeSpace(20), [v for v in range(1 << 20) if v.bit_count() == 10]
+        fam = SetFamily.from_sets(20, [v for v in range(1 << 20) if v.bit_count() == 10]
         )
         start = time.perf_counter()
         out = find_copy(fam, 2, budget_ms=50.0)
@@ -760,7 +764,7 @@ class TestBudget:
         # Every set of [22] with at most 11 elements: 2.4 M members, which
         # the swap checks read as a 4 MB table, one swap at a time.
         sizes = np.bitwise_count(np.arange(1 << 22, dtype=np.uint32))
-        fam = SetFamily(CubeSpace(22), sizes <= 11)
+        fam = SetFamily(sizes <= 11)
         start = time.perf_counter()
         out = find_copy(fam, 2, budget_ms=10.0)
         assert out.status == "inconclusive"
@@ -772,7 +776,7 @@ class TestBudget:
         # the 2^20 submasks fit the window, a list of about 28 MB if it
         # were materialised whole.
         sizes = np.array([bin(v).count("1") for v in range(1 << 20)])
-        fam = SetFamily(CubeSpace(20), (sizes <= 3) | (sizes == 20))
+        fam = SetFamily((sizes <= 3) | (sizes == 20))
         start = time.perf_counter()
         out = find_copy(fam, 10, budget_ms=200.0)
         elapsed = time.perf_counter() - start
@@ -858,8 +862,7 @@ class TestBudget:
         # first task's find is turned into a deadline hit; the second, in
         # flight when the hit comes, still finds a copy, and that find wins.
         # No further task is taken.
-        fam = SetFamily.from_sets(
-            CubeSpace(4), [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
+        fam = SetFamily.from_sets(4, [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
         )
         engine = search._Engine(fam, 2, "first", True, None)
         first, second = [t[:2] for t in islice(engine._root_pairs(search._family_swaps(fam)), 2)]
@@ -882,7 +885,7 @@ class TestBudget:
         monkeypatch.setattr(search, "_submission", recorded)
         out = find_copy(fam, 2, workers=2)
         assert out.status == "found"
-        assert out.embedding.image_values[-1] == second[1]
+        assert out.embedding.images[-1] == second[1]
         assert taken == [first, second]
 
 
@@ -945,8 +948,7 @@ class TestPool:
         handed the next submission, whose first task, the third, calls
         ``third_task``; the other worker finds a copy in the second after
         0.2 s.  Return the family and the second root pair."""
-        fam = SetFamily.from_sets(
-            CubeSpace(4), [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
+        fam = SetFamily.from_sets(4, [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
         )
         engine = search._Engine(fam, 2, "first", True, None)
         tasks = list(islice(engine._root_pairs(search._family_swaps(fam)), 3))
@@ -980,7 +982,7 @@ class TestPool:
         out = find_copy(fam, 2, workers=2)
         assert time.monotonic() - start < 5.0
         assert out.status == "found"
-        assert out.embedding.image_values[-1] == second[1]
+        assert out.embedding.images[-1] == second[1]
         assert no_children_left()
 
     def test_task_ending_while_killed_leaves_no_traceback(self, monkeypatch, capfd, alarm):
@@ -997,7 +999,7 @@ class TestPool:
         monkeypatch.setattr(os, "kill", slow_kill)
         out = find_copy(fam, 2, workers=2)
         assert out.status == "found"
-        assert out.embedding.image_values[-1] == second[1]
+        assert out.embedding.images[-1] == second[1]
         assert no_children_left()
         assert "Traceback" not in capfd.readouterr().err
 
@@ -1036,7 +1038,7 @@ class TestPool:
         # Seven members, eight workers: five of the ten tasks are large, so
         # the walk makes six submissions and the dispatch alone bounds the
         # forks by them.
-        fam = SetFamily.from_sets(CubeSpace(5), [0, 1, 2, 7, 11, 27, 31])
+        fam = SetFamily.from_sets(5, [0, 1, 2, 7, 11, 27, 31])
         seq = find_copy(fam, 2, mode="count", workers=1)
         assert forks == []
         submissions, submission = [], search._submission
@@ -1112,7 +1114,7 @@ class TestMonochromaticSearch:
         out = find_copy(make_c0(3).color_class(Color.RED), 3)
         assert out.status == "found"
         e = out.embedding
-        assert [str(s) for s in e.images] == [
+        assert [str(ElementSet(v, 6)) for v in e.images] == [
             "{}",
             "{2}",
             "{4}",
@@ -1122,8 +1124,8 @@ class TestMonochromaticSearch:
             "{1,4,6}",
             "{1,2,4,6}",
         ]
-        assert verify_embedding(e, make_c0(3).color_class(Color.RED)).ok
-        assert oracles.check_embedding_literal(e.image_values, 3)
+        assert verify_embedding(e, make_c0(3).color_class(Color.RED)) is None
+        assert oracles.check_embedding_literal(e.images, 3)
 
     def test_layered_q3_is_copy_free_for_n2(self):
         for color in Color:
