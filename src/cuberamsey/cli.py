@@ -80,18 +80,12 @@ def _check_budget(budget_ms: float | None) -> None:
         raise UsageError(f"--budget-ms must be a number >= 0, got {budget_ms:g}")
 
 
-def _write_text(path: str, chunks) -> None:
-    """Write text given as an iterable of strings, each as it comes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
-
-
 def _finish(args, pairs, start: float, code: int, report_out: str | None = None) -> int:
     pairs.append(("version", __version__))
     pairs.append(("elapsed_ms", f"{(time.perf_counter() - start) * 1000.0:.1f}"))
     text = render_report(pairs)
     if report_out:
-        _write_text(report_out, (text,))
+        Path(report_out).write_text(text, encoding="utf-8", newline="\n")
     if not args.quiet:
         sys.stdout.write(text)
     return code
@@ -161,7 +155,7 @@ def cmd_color(args) -> int:
         ("entries", str(coloring.red.size)),
         ("out", args.out),
     ]
-    return _finish(args, pairs, start, EXIT_OK, report_out=None)
+    return _finish(args, pairs, start, EXIT_OK)
 
 
 def cmd_check(args) -> int:
@@ -297,7 +291,8 @@ def cmd_flip_graph(args) -> int:
     graph = build_flip_graph(args.n)
     report = check_bipartition(graph)
     if args.edges:
-        _write_text(args.edges, export_edges(graph))
+        with open(args.edges, "w", encoding="utf-8", newline="\n") as fh:
+            export_edges(graph, fh)
     ok = report.bipartite and report.connected and report.matches_parity
     pairs = [
         ("command", "flip-graph"),
@@ -362,14 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, out_help="also write the report to this path"):
         sub = subs.add_parser(name, help=help_text)
         sub.set_defaults(func=func)
         sub.add_argument("--quiet", action="store_true", help="emit only the exit status")
-        sub.add_argument("--out", help="also write the output to this path")
+        sub.add_argument("--out", help=out_help)
         return sub
 
-    sub = add("color", cmd_color, "generate a coloring file")
+    sub = add("color", cmd_color, "generate a coloring file",
+              "write the coloring to this QRC1 path and print a report instead "
+              "of the coloring text")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--scheme", choices=("c0", "c3", "layered"), required=True)
     sub.add_argument("--m", type=int, help="ground size override (layered only)")

@@ -30,7 +30,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -176,9 +176,10 @@ def _vertex_text(vertices: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, width + 1)
 
 
-def export_edges(graph: FlipGraph) -> Iterator[str]:
-    """The edge list as consecutive chunks of text: one edge per line, the
-    two encoded vertex values ascending.
+def export_edges(graph: FlipGraph, fh: TextIO) -> None:
+    """Write the edge list to an open text file, one chunk of
+    _EXPORT_CHUNK edges at a time: one edge per line, the two encoded
+    vertex values ascending.
 
     Each edge gathers two fixed-width rows of ``_vertex_text`` (one item
     copy each through a ``np.void`` view), and one boolean compress drops
@@ -188,4 +189,4 @@ def export_edges(graph: FlipGraph) -> Iterator[str]:
     side = np.array([0, 1], dtype=np.int32)
     for lo in range(0, len(graph.ends), _EXPORT_CHUNK):
         block = rows[graph.ends[lo : lo + _EXPORT_CHUNK] * 2 + side].view(np.uint8).ravel()
-        yield block[block != 0].tobytes().decode("ascii")
+        fh.write(block[block != 0].tobytes().decode("ascii"))

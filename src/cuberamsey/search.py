@@ -365,8 +365,8 @@ class _Engine:
         deadline: float | None,
     ) -> None:
         self.n = n
+        self.family = family
         self.member = memoryview(family.mask)
-        self.members = family.member_values().astype(np.uint32)
         self.order, self.children, self.probes = _prepare_sources(n)
         self.positions = len(self.order)
         # _extend recurses once per position, 2^n deep, past the default
@@ -401,27 +401,30 @@ class _Engine:
         # Every pair of the orbit roots as many embeddings as (b, t).
         return self.found, self.count * orbit, self.nodes, self.prune_hits, hit
 
-    def _root_pairs(self, swaps: list[tuple[int, int]]):
+    def _root_pairs(self):
         """Yield the tasks (bottom, top, orbit size, root-pair rejections
         since the previous task), ascending: pairs of members with bottom
         strictly inside top, less the root-gap rejections (prune only) and
-        the pairs that are not the minimum of their orbit under the swaps.
+        the pairs that are not the minimum of their orbit under the family's
+        swaps, which the walk checks first (prune only; none otherwise).
         Once the walk ends, self.rest holds the rejections after the last
         task (until then, none: they belong to a task not yet yielded, and
-        the dict a task carries is not reused); a deadline hit ends the
-        walk and sets self.walk_hit.  The first pair met of an
-        orbit is its minimum; its orbit is closed breadth-first, and the
-        other members wait in pending until they are met and skipped.
-        The members and each bottom's supersets are read in place, through
-        memoryviews that yield Python ints, never copied to lists (a list
-        of the 8,388,146 c0 n = 12 Red members takes 335 MB on 64-bit
-        CPython), so memory grows only with the open orbits."""
-        members = self.members
-        sizes = np.bitwise_count(members)
+        the dict a task carries is not reused); a deadline hit, in the swap
+        checks or the walk, ends the walk and sets self.walk_hit.  The
+        first pair met of an orbit is its minimum; its orbit is closed
+        breadth-first, and the other members wait in pending until they
+        are met and skipped.  The members and each bottom's supersets are
+        read in place, through memoryviews that yield Python ints, never
+        copied to lists (a list of the 8,388,146 c0 n = 12 Red members
+        takes 335 MB on 64-bit CPython), so memory grows only with the
+        open orbits."""
         pending: set[tuple[int, int]] = set()
         hits = dict.fromkeys(_PRUNE_NAMES, 0)
         self.rest, self.walk_hit = dict.fromkeys(_PRUNE_NAMES, 0), False
         try:
+            swaps = _family_swaps(self.family, self.deadline) if self.prune else []
+            members = self.family.member_values().astype(np.uint32)
+            sizes = np.bitwise_count(members)
             for i, b in enumerate(memoryview(members)):
                 self._tick(len(members))
                 # Supersets of b are larger than b, so only later members.
@@ -695,34 +698,6 @@ def _results(engine: _Engine, tasks, workers: int):
             os.waitpid(pid, 0)
 
 
-def _search(
-    family: SetFamily, n: int, mode: str, prune: bool, deadline: float | None,
-    swaps: list[tuple[int, int]], workers: int,
-) -> tuple[tuple[int, ...] | None, int, int, dict[str, int], bool]:
-    """Walk the root pairs once, run them as tasks (_results) and fold the
-    results in task order up to the first find: (find, count, nodes, prune
-    hits, deadline hit)."""
-    engine = _Engine(family, n, mode, prune, deadline)
-    found, count, nodes, hit, hits = None, 0, 0, False, dict.fromkeys(_PRUNE_NAMES, 0)
-    results = _results(engine, engine._root_pairs(swaps), workers)
-    try:
-        for found, task_count, task_nodes, task_hits, task_hit in results:
-            count += task_count
-            nodes += task_nodes
-            hits = {name: hits[name] + task_hits[name] for name in _PRUNE_NAMES}
-            hit = hit or task_hit
-            if found is not None:
-                break
-        else:
-            # Exhausted, or stopped by a deadline hit in a task or the walk.
-            hits = {name: hits[name] + engine.rest[name] for name in _PRUNE_NAMES}
-            hit = hit or engine.walk_hit
-    finally:
-        results.close()
-    # Each canonical embedding stands for its orbit of n! labeled maps.
-    return found, count * factorial(n) if prune else count, nodes, hits, hit
-
-
 def find_copy(
     family: SetFamily,
     n: int,
@@ -751,9 +726,9 @@ def find_copy(
     worker count.  A found outcome counts the tasks up to and including the
     find; workers still running then are killed, and every worker is reaped
     before the outcome is returned.  A worker that dies mid-task raises
-    ChildProcessError.  The budget also covers the automorphism checks
-    before the walk.  A budget hit starts no more tasks, but a find by a
-    task still running wins over it.
+    ChildProcessError.  The walk checks the automorphisms first, within the
+    budget.  A budget hit starts no more tasks, but a find by a task still
+    running wins over it.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -761,25 +736,36 @@ def find_copy(
         raise ValueError(f"need n >= 1, got {n}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    # No search ran: the outcome when n exceeds m, where no injective
-    # size-respecting map exists, or when the budget ends before the walk.
+    # No search runs when n exceeds m: no injective size-respecting map
+    # exists.
     found, count, nodes, hits, hit = None, 0, 0, dict.fromkeys(_PRUNE_NAMES, 0), False
     if n <= family.m:
         deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        _prepare_sources(n)  # Past MAX_SOURCE_N this raises before any pool starts.
+        # Past MAX_SOURCE_N the engine raises before any worker starts.
+        engine = _Engine(family, n, mode, prune, deadline)
+        # Worker processes are forked; without fork the search runs here.
+        workers = workers if hasattr(os, "fork") else 1
+        results = _results(engine, engine._root_pairs(), workers)
         try:
-            swaps = _family_swaps(family, deadline) if prune else []
-        except _DeadlineHit:
-            hit = True
-        else:
-            # Worker processes are forked; without fork the search runs here.
-            workers = workers if hasattr(os, "fork") else 1
-            found, count, nodes, hits, hit = _search(
-                family, n, mode, prune, deadline, swaps, workers
-            )
+            for found, task_count, task_nodes, task_hits, task_hit in results:
+                count += task_count
+                nodes += task_nodes
+                hits = {name: hits[name] + task_hits[name] for name in _PRUNE_NAMES}
+                hit = hit or task_hit
+                if found is not None:
+                    break
+            else:
+                # Exhausted, or stopped by a deadline hit in a task, the swap
+                # checks or the walk.
+                hits = {name: hits[name] + engine.rest[name] for name in _PRUNE_NAMES}
+                hit = hit or engine.walk_hit
+        finally:
+            results.close()
+        # Each canonical embedding stands for its orbit of n! labeled maps.
+        count = count * factorial(n) if prune else count
     if found is not None:
         # The find lists images in assignment order; sort them by source.
-        values = tuple(v for _, v in sorted(zip(_prepare_sources(n)[0], found)))
+        values = tuple(v for _, v in sorted(zip(engine.order, found)))
         embedding = Embedding(n, family.m, values)
         violation = verify_embedding(embedding, family)
         if violation is not None:
@@ -789,4 +775,3 @@ def find_copy(
     status = "inconclusive" if hit else "found" if count else "absent"
     count = count if mode == "count" and not hit else None
     return SearchOutcome(status, None, count, nodes, hits)
-

@@ -23,6 +23,23 @@ def edge_tuples(graph):
     return [tuple(e) for e in graph.edges.tolist()]
 
 
+class Recorder:
+    """A text file stand-in that keeps each string written to it."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, chunk):
+        self.chunks.append(chunk)
+
+
+def exported(graph):
+    """The chunks ``export_edges`` writes, in order."""
+    fh = Recorder()
+    export_edges(graph, fh)
+    return fh.chunks
+
+
 def hand_built(vertices, edges):
     """A FlipGraph on the given sorted vertex values and (u, v) value rows,
     its ends found by binary search."""
@@ -134,7 +151,7 @@ class TestMatchesLoop:
         assert tuple(edge_tuples(g)) == edges
         assert np.array_equal(g.ends, np.searchsorted(g.vertices, g.edges))
         assert check_bipartition(g) == oracles.bipartition_loop(vertices, edges)
-        assert "".join(export_edges(g)) == "".join(f"{u} {v}\n" for u, v in edges)
+        assert "".join(exported(g)) == "".join(f"{u} {v}\n" for u, v in edges)
 
 
 class TestUnreachedBranches:
@@ -173,7 +190,7 @@ class TestUnreachedBranches:
 class TestExport:
     def test_format(self):
         g = build_flip_graph(3)
-        text = "".join(export_edges(g))
+        text = "".join(exported(g))
         lines = text.splitlines()
         assert lines[0] == "21 22"
         assert len(lines) == 12
@@ -183,7 +200,7 @@ class TestExport:
         assert text.endswith("\n")
 
     def test_single_edge_graph(self):
-        assert list(export_edges(build_flip_graph(1))) == ["1 2\n"]
+        assert exported(build_flip_graph(1)) == ["1 2\n"]
 
 
 class TestExportMatchesPercent:
@@ -192,7 +209,7 @@ class TestExportMatchesPercent:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_flip_graphs(self, n):
         g = build_flip_graph(n)
-        chunks = list(export_edges(g))
+        chunks = exported(g)
         assert all(type(chunk) is str for chunk in chunks)
         assert len(chunks) == -(-len(g.edges) // flipgraph._EXPORT_CHUNK)
         assert "".join(chunks) == oracles.export_edges_percent(g)
@@ -213,13 +230,13 @@ class TestExportMatchesPercent:
     def test_hand_built(self, name):
         vertices, edges = self.GRAPHS[name]
         g = hand_built(vertices, edges)
-        text = "".join(export_edges(g))
+        text = "".join(exported(g))
         assert text == oracles.export_edges_percent(g)
         assert text == "".join(f"{u} {v}\n" for u, v in edges)
 
     def test_partial_last_chunk(self, monkeypatch):
         g = build_flip_graph(5)  # 80 edges: 11 chunks of 7 and one of 3
         monkeypatch.setattr(flipgraph, "_EXPORT_CHUNK", 7)
-        chunks = list(export_edges(g))
+        chunks = exported(g)
         assert [c.count("\n") for c in chunks] == [7] * 11 + [3]
         assert "".join(chunks) == oracles.export_edges_percent(g)

@@ -195,7 +195,7 @@ class TestFindCopyBasics:
 
         # Refused before the automorphism checks and the search.
         monkeypatch.setattr(search, "_family_swaps", unreachable)
-        monkeypatch.setattr(search, "_search", unreachable)
+        monkeypatch.setattr(search, "_Engine", unreachable)
         red = make_c0(2).color_class(Color.RED)
         for workers in (0, -3):
             with pytest.raises(ValueError, match=f"need workers >= 1, got {workers}"):
@@ -499,11 +499,10 @@ class TestTargetSymmetry:
             fam = random_family(m, rng, density=rng.uniform(0.5, 1.0))
             cases.append((fam, rng.randint(1, m)))
         for fam, n in cases:
-            swaps = search._family_swaps(fam)
             eng = search._Engine(fam, n, "first", True, None)
-            tasks = list(eng._root_pairs(swaps))
+            tasks = list(eng._root_pairs())
             pairs = [(b, t, size) for b, t, size, _ in tasks]
-            perms = [swap_as_perm(*g) for g in swaps]
+            perms = [swap_as_perm(*g) for g in search._family_swaps(fam)]
             assert pairs == oracles.root_orbits_literal(members_of(fam), n, perms)
             skipped = sum(hits["target-symmetry"] for *_, hits in tasks)
             skipped += eng.rest["target-symmetry"]
@@ -746,16 +745,19 @@ class TestBudget:
             search._family_swaps(fam, 1.5)
         assert next(clock) == 3
 
-    def test_deadline_hit_in_swap_checks_searches_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deadline_hit_in_swap_checks_searches_nothing(self, monkeypatch, workers):
         def hit(family, deadline=None):
             raise search._DeadlineHit
 
-        def no_engine(*args):
-            raise AssertionError("no search may start")
+        def unreachable(*args):
+            raise AssertionError("no task may run and no worker start")
 
         monkeypatch.setattr(search, "_family_swaps", hit)
-        monkeypatch.setattr(search, "_Engine", no_engine)
-        out = find_copy(make_c0(4).color_class(Color.RED), 4, budget_ms=1000.0)
+        monkeypatch.setattr(search._Engine, "run", unreachable)
+        monkeypatch.setattr(os, "fork", unreachable)
+        red = make_c0(4).color_class(Color.RED)
+        out = find_copy(red, 4, budget_ms=1000.0, workers=workers)
         assert out.status == "inconclusive"
         assert out.nodes_explored == 0
         assert set(out.prune_hits.values()) == {0}
@@ -834,7 +836,7 @@ class TestBudget:
         # tasks, with no root-pair rejection of a task not run.
         fam = make_c0(4).color_class(Color.BLUE)
         engine = search._Engine(fam, 4, "first", True, None)
-        tasks = list(islice(engine._root_pairs(search._family_swaps(fam)), 3))
+        tasks = list(islice(engine._root_pairs(), 3))
         assert not any(search._large(task, 4) for task in tasks)
         nodes, hits = 0, dict.fromkeys(PRUNE_NAMES, 0)
         for task in tasks:
@@ -865,7 +867,7 @@ class TestBudget:
         fam = SetFamily.from_sets(4, [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
         )
         engine = search._Engine(fam, 2, "first", True, None)
-        first, second = [t[:2] for t in islice(engine._root_pairs(search._family_swaps(fam)), 2)]
+        first, second = [t[:2] for t in islice(engine._root_pairs(), 2)]
         run, submission = search._Engine.run, search._submission
 
         def first_task_hits(self, task):
@@ -951,7 +953,7 @@ class TestPool:
         fam = SetFamily.from_sets(4, [v for v in range(16) if v.bit_count() in (0, 1, 3, 4)]
         )
         engine = search._Engine(fam, 2, "first", True, None)
-        tasks = list(islice(engine._root_pairs(search._family_swaps(fam)), 3))
+        tasks = list(islice(engine._root_pairs(), 3))
         assert search._large(tasks[0], 2) and search._large(tasks[1], 2)
         first, second, third = [task[:2] for task in tasks]
         run = search._Engine.run
