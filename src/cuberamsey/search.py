@@ -253,10 +253,10 @@ def verify_embedding(e: Embedding, family: SetFamily | None = None) -> str | Non
 
 @lru_cache(maxsize=16)
 def _prepare_sources(n: int):
-    """Assignment order over 2^[n] and, per position k >= 2 (source s),
-    the positions of its children s - {i} (the bottom for a singleton) and
-    of its probes, the singletons {i} with i not in s that come before s.
-    Positions 0 and 1 have neither."""
+    """Assignment order over 2^[n] and, per position k >= 2 (source s), one
+    step record: the positions of its children s - {i} (the bottom for a
+    singleton), the positions of its probes, the singletons {i} with i not
+    in s that come before s, and |s|.  Positions 0 and 1 hold None."""
     if not 1 <= n <= MAX_SOURCE_N:
         raise ValueError(f"source cube parameter {n} outside 1..{MAX_SOURCE_N}")
     full = (1 << n) - 1
@@ -264,12 +264,12 @@ def _prepare_sources(n: int):
     position = [0] * (full + 1)
     for k, s in enumerate(order):
         position[s] = k
-    children, probes = [[], []], [[], []]
+    steps = [None, None]
     for k, s in enumerate(order[2:], 2):
-        children.append([position[s ^ 1 << i] for i in range(n) if s >> i & 1])
+        children = [position[s ^ 1 << i] for i in range(n) if s >> i & 1]
         singles = (position[1 << i] for i in range(n) if not s >> i & 1)
-        probes.append([j for j in singles if j < k])
-    return order, children, probes
+        steps.append((children, [j for j in singles if j < k], s.bit_count()))
+    return order, steps
 
 
 class _DeadlineHit(Exception):
@@ -286,6 +286,14 @@ def _submasks_in_window(d: int, lo: int, hi: int) -> list[int]:
         w = (w - d) & d
         if not w:
             return out
+
+
+def _top_bits(d: int, j: int) -> int:
+    """The highest j set bits of d (none for j <= 0); j must not exceed |d|."""
+    high = 0
+    for _ in range(j):
+        high |= 1 << (d ^ high).bit_length() - 1
+    return high
 
 
 @lru_cache(maxsize=4096)
@@ -367,16 +375,18 @@ class _Engine:
         self.n = n
         self.family = family
         self.member = memoryview(family.mask)
-        self.order, self.children, self.probes = _prepare_sources(n)
+        self.order, steps = _prepare_sources(n)
         self.positions = len(self.order)
         # _extend recurses once per position, 2^n deep, past the default
         # limit of 1,000 from n = 10 on.  Only ever raised; forked workers
         # inherit the raised limit with the engine.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), self.positions + 1000))
-        self.sizes = [s.bit_count() for s in self.order]
-        # Positions 2..n+1 hold the singletons; each image after the first
-        # must exceed its predecessor (source symmetry).
-        self.floored = [prune and 3 <= k <= n + 1 for k in range(self.positions)]
+        # Each record gains a floor flag.  Positions 2..n+1 hold the
+        # singletons; each image after the first must exceed its
+        # predecessor (source symmetry).
+        self.steps = steps[:2] + [
+            (*step, prune and 3 <= k <= n + 1) for k, step in enumerate(steps[2:], 2)
+        ]
         self.mode = mode
         self.prune = prune
         self.deadline = deadline
@@ -392,6 +402,9 @@ class _Engine:
         b, t, orbit, self.prune_hits = task
         self.nodes, self.count, self.found = 1, 0, None
         self.images[:2] = b, t
+        # The task's part of the cardinality window |f(bottom)| + |s| <= |x|
+        # <= |f(top)| - n + |s|.
+        self.lo_base, self.hi_base = b.bit_count(), t.bit_count() - self.n
         hit = False
         try:
             self._tick()
@@ -474,42 +487,35 @@ class _Engine:
                 return True
             self.count += 1
             return False
+        children, probes, size, floored = self.steps[k]
         images = self.images
-        bottom, top = images[0], images[1]
         u = 0
-        for j in self.children[k]:
+        for j in children:
             u |= images[j]
         # u lies inside the image of the top (module docstring, point 1).
-        d = top ^ u
+        d = images[1] ^ u
+        width = d.bit_count()
         hits = self.prune_hits
         if self.prune:
             # Window on |w| = |x| - |u| for the candidates x = u + w.
-            pc_s = self.sizes[k]
-            pc_u = u.bit_count()
-            lo = bottom.bit_count() + pc_s - pc_u
-            hi = top.bit_count() - (self.n - pc_s) - pc_u
-            hits["cardinality-window"] += _window_skipped(d.bit_count(), lo, hi)
+            part = size - u.bit_count()
+            lo, hi = self.lo_base + part, self.hi_base + part
+            hits["cardinality-window"] += _window_skipped(width, lo, hi)
         else:
             # Only the first singleton's window can reach w = 0, f(bottom),
             # or w = d, f(top) (module docstring); it stops short of both.
-            lo, hi = (1, d.bit_count() - 1) if k == 2 else (0, d.bit_count())
-        floored = self.floored[k]
+            lo, hi = (1, width - 1) if k == 2 else (0, width)
         member = self.member
-        probes = self.probes[k]
-        low_lists = self.low_lists
-        # Chunks: w_high walks the submasks of d above its lowest _LOW_BITS
-        # set bits, each followed by the cached list of low submasks whose
+        # Chunks: w_high walks the submasks of the top width - _LOW_BITS set
+        # bits of d, each followed by the cached list of low submasks whose
         # size fits the window shifted by |w_high|.
-        high = d
-        for _ in range(_LOW_BITS):
-            high &= high - 1
+        high = _top_bits(d, width - _LOW_BITS) if width > _LOW_BITS else 0
         low = d ^ high
-        n_low = low.bit_count()
         w_high = 0
         while True:
             taken = w_high.bit_count()
-            key = (low, max(lo - taken, 0), min(hi - taken, n_low))
-            lows = low_lists.get(key)
+            key = (low, lo - taken, hi - taken)
+            lows = self.low_lists.get(key)
             if lows is None:
                 lows = self._low_list(key)
             # _tick inlined, to save a call per chunk.

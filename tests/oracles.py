@@ -356,6 +356,15 @@ def prepare_sources_loop(n: int):
     return order, subs, sups, incs
 
 
+def high_part_loop(d: int, low_bits: int) -> int:
+    """d with its lowest low_bits set bits cleared, one at a time (none left
+    when d has no more than low_bits set bits)."""
+    high = d
+    for _ in range(low_bits):
+        high &= high - 1
+    return high
+
+
 def permute_elements(bits: int, perm: dict[int, int]) -> int:
     """Image of a subset under an element map given on 1-based elements
     (elements absent from ``perm`` stay fixed)."""

@@ -510,28 +510,29 @@ class TestTargetSymmetry:
 
 
 def full_source_lists(n):
-    """The engine's source lists replaced by every earlier proper subset
-    and every earlier incomparable source."""
+    """The engine's step records with every earlier proper subset as a
+    child and every earlier incomparable source as a probe."""
     order, subs, _, incs = oracles.prepare_sources_loop(n)
-    return order, subs, incs
+    steps = [(subs[k], incs[k], order[k].bit_count()) for k in range(2, len(order))]
+    return order, [None, None] + steps
 
 
 class TestPrepareSources:
     def test_matches_pairwise_loop(self):
         for n in range(1, 9):
             order, subs, sups, incs = oracles.prepare_sources_loop(n)
-            got_order, children, probes = search._prepare_sources(n)
+            got_order, steps = search._prepare_sources(n)
             assert got_order == order
-            assert children[:2] == probes[:2] == [[], []]
+            assert len(steps) == len(order)
+            assert steps[:2] == [None, None]
             for k in range(2, len(order)):
+                children, probes, size = steps[k]
                 # The top is the only earlier proper superset.
                 assert sups[k] == [1]
-                size = order[k].bit_count()
-                assert sorted(children[k]) == [
-                    j for j in subs[k] if order[j].bit_count() == size - 1
-                ]
-                assert sorted(probes[k]) == [j for j in incs[k] if order[j].bit_count() == 1]
-                assert len(children[k]) <= n and len(probes[k]) <= n
+                assert size == order[k].bit_count()
+                assert sorted(children) == [j for j in subs[k] if order[j].bit_count() == size - 1]
+                assert sorted(probes) == [j for j in incs[k] if order[j].bit_count() == 1]
+                assert len(children) <= n and len(probes) <= n
 
     def test_full_lists_change_no_outcome(self, monkeypatch):
         cases = [(full_family(m), n) for m in range(1, 5) for n in range(1, m + 1)]
@@ -589,6 +590,13 @@ class TestInWindowGeneration:
                     kept = [w for w in subs if lo <= w.bit_count() <= hi]
                     assert search._submasks_in_window(d, lo, hi) == kept
                     assert search._window_skipped(k, lo, hi) == len(subs) - len(kept)
+
+    def test_high_part_matches_clearing_low_bits(self):
+        # The engine's high part takes the top |d| - _LOW_BITS set bits of d.
+        for low_bits in range(11):
+            for d in range(1 << 14):
+                high = search._top_bits(d, d.bit_count() - low_bits)
+                assert high == oracles.high_part_loop(d, low_bits)
 
     @pytest.mark.parametrize("low_bits", [0, 1, 2, 3])
     def test_split_candidate_lists_change_nothing(self, monkeypatch, low_bits):
