@@ -131,6 +131,8 @@ def exists_good_coloring(n: int, m: int) -> BruteForceResult:
 def ramsey_bruteforce(n: int, max_m: int) -> RamseyScan:
     """Probe m = 1, 2, ... and report the least m where no good coloring
     exists, or an unresolved scan when every probed cube has one."""
+    if n < 1 or max_m < 1:
+        raise ValueError(f"need n >= 1 and max_m >= 1, got n={n}, max_m={max_m}")
     results = []
     for m in range(1, max_m + 1):
         res = exists_good_coloring(n, m)

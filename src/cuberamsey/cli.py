@@ -80,17 +80,6 @@ def _check_budget(budget_ms: float | None) -> None:
         raise UsageError(f"--budget-ms must be a number >= 0, got {budget_ms:g}")
 
 
-def _finish(args, pairs, start: float, code: int, report_out: str | None = None) -> int:
-    pairs.append(("version", __version__))
-    pairs.append(("elapsed_ms", f"{(time.perf_counter() - start) * 1000.0:.1f}"))
-    text = render_report(pairs)
-    if report_out:
-        Path(report_out).write_text(text, encoding="utf-8", newline="\n")
-    if not args.quiet:
-        sys.stdout.write(text)
-    return code
-
-
 def _load(args) -> Coloring:
     if not args.coloring:
         raise UsageError("--coloring is required")
@@ -131,8 +120,7 @@ def _outcome_pairs(prefix: str, outcome: SearchOutcome) -> list:
     return pairs
 
 
-def cmd_color(args) -> int:
-    start = time.perf_counter()
+def cmd_color(args) -> tuple[list | None, int]:
     n = args.n
     if args.scheme == "layered":
         coloring = make_layered(args.m if args.m is not None else 2 * n - 1)
@@ -145,27 +133,24 @@ def cmd_color(args) -> int:
     if not args.out:
         if not args.quiet:
             sys.stdout.write(render_coloring(coloring))
-        return EXIT_OK
+        return None, EXIT_OK
     save_coloring(coloring, args.out)
     pairs = [
-        ("command", "color"),
         ("n", str(n)),
         ("m", str(coloring.m)),
         ("scheme", coloring.scheme),
         ("entries", str(coloring.red.size)),
         ("out", args.out),
     ]
-    return _finish(args, pairs, start, EXIT_OK)
+    return pairs, EXIT_OK
 
 
-def cmd_check(args) -> int:
-    start = time.perf_counter()
+def cmd_check(args) -> tuple[list, int]:
     n = args.n
     coloring = _load(args)
     if coloring.m != 2 * n:
         raise UsageError(f"checking needs a coloring of [{2 * n}], file has m={coloring.m}")
     pairs = [
-        ("command", "check"),
         ("n", str(n)),
         ("m", str(coloring.m)),
         ("scheme", coloring.scheme),
@@ -173,7 +158,7 @@ def cmd_check(args) -> int:
     block, ok = _restrictive_block(coloring, n)
     pairs.extend(block)
     pairs.append(("verdict", "restrictive" if ok else "not-restrictive"))
-    return _finish(args, pairs, start, EXIT_OK if ok else EXIT_FAIL, args.out)
+    return pairs, EXIT_OK if ok else EXIT_FAIL
 
 
 def _run_color_searches(coloring: Coloring, n: int, colors, budget_ms, workers):
@@ -200,8 +185,7 @@ def _run_color_searches(coloring: Coloring, n: int, colors, budget_ms, workers):
     return pairs, EXIT_OK
 
 
-def cmd_find_copy(args) -> int:
-    start = time.perf_counter()
+def cmd_find_copy(args) -> tuple[list, int]:
     workers = _workers(args.threads)
     _check_budget(args.budget_ms)
     coloring = _load(args)
@@ -211,7 +195,6 @@ def cmd_find_copy(args) -> int:
         "both": (Color.RED, Color.BLUE),
     }[args.color]
     pairs = [
-        ("command", "find-copy"),
         ("n", str(args.n)),
         ("m", str(coloring.m)),
         ("scheme", coloring.scheme),
@@ -221,16 +204,14 @@ def cmd_find_copy(args) -> int:
     search_pairs, code = _run_color_searches(
         coloring, args.n, colors, args.budget_ms, workers
     )
-    pairs.extend(search_pairs)
-    return _finish(args, pairs, start, code, args.out)
+    return pairs + search_pairs, code
 
 
-def cmd_verify_lower_bound(args) -> int:
+def cmd_verify_lower_bound(args) -> tuple[list, int]:
     """Search both classes of the built-in coloring of [2n]: c3 at n = 3
     (route search-only), c0 from n = 4 on (route construction, which also
     checks that c0 is restrictive).  Verdicts, first match wins:
     copy-found, inconclusive, not-restrictive, verified."""
-    start = time.perf_counter()
     n = args.n
     if n < 3:
         raise UsageError("the lower bound statement starts at n = 3")
@@ -240,7 +221,6 @@ def cmd_verify_lower_bound(args) -> int:
     _check_budget(args.budget_ms)
     coloring = make_c3() if n == 3 else make_c0(n)
     pairs = [
-        ("command", "verify-lower-bound"),
         ("n", str(n)),
         ("m", str(2 * n)),
         ("scheme", coloring.scheme),
@@ -264,14 +244,12 @@ def cmd_verify_lower_bound(args) -> int:
     else:
         pairs.append(("verdict", "verified"))
         pairs.append(("bound", f"R(Q{n},Q{n}) >= {2 * n + 1}"))
-    return _finish(args, pairs, start, code, args.out)
+    return pairs, code
 
 
-def cmd_brute_ramsey(args) -> int:
-    start = time.perf_counter()
+def cmd_brute_ramsey(args) -> tuple[list, int]:
     scan = ramsey_bruteforce(args.n, args.max_m)
     pairs = [
-        ("command", "brute-ramsey"),
         ("n", str(args.n)),
         ("max_m", str(args.max_m)),
     ]
@@ -283,11 +261,10 @@ def cmd_brute_ramsey(args) -> int:
             value = f"good index={res.colorings_checked - 1} checked={res.colorings_checked}"
         pairs.append((f"m={res.m}", value))
     pairs.append(("value", str(scan.value) if scan.value is not None else "unresolved"))
-    return _finish(args, pairs, start, EXIT_OK, args.out)
+    return pairs, EXIT_OK
 
 
-def cmd_flip_graph(args) -> int:
-    start = time.perf_counter()
+def cmd_flip_graph(args) -> tuple[list, int]:
     graph = build_flip_graph(args.n)
     report = check_bipartition(graph)
     if args.edges:
@@ -295,7 +272,6 @@ def cmd_flip_graph(args) -> int:
             export_edges(graph, fh)
     ok = report.bipartite and report.connected and report.matches_parity
     pairs = [
-        ("command", "flip-graph"),
         ("n", str(args.n)),
         ("vertices", str(len(graph.vertices))),
         ("edges", str(len(graph.ends))),
@@ -305,11 +281,10 @@ def cmd_flip_graph(args) -> int:
         ("even_class", str(report.even_class_size)),
         ("matches_parity", "yes" if report.matches_parity else "no"),
     ]
-    return _finish(args, pairs, start, EXIT_OK if ok else EXIT_FAIL, args.out)
+    return pairs, EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_recheck(args) -> int:
-    start = time.perf_counter()
+def cmd_recheck(args) -> tuple[list, int]:
     text = Path(args.report).read_text(encoding="utf-8")
     fields, blocks = parse_report(text)
     coloring = _load(args)
@@ -327,7 +302,6 @@ def cmd_recheck(args) -> int:
     if not certificates:
         raise UsageError("report contains no embedding certificate")
     pairs = [
-        ("command", "recheck"),
         ("n", fields["n"]),
         ("m", fields["m"]),
     ]
@@ -345,7 +319,7 @@ def cmd_recheck(args) -> int:
             pairs.append((f"{prefix}_certificate", f"invalid ({violation})"))
             all_ok = False
     pairs.append(("verdict", "certificates-valid" if all_ok else "certificates-invalid"))
-    return _finish(args, pairs, start, EXIT_OK if all_ok else EXIT_FAIL, args.out)
+    return pairs, EXIT_OK if all_ok else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,10 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Each cmd_* returns its report pairs (None for
+    no report) and exit code; only this frames, writes and prints a
+    report."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        pairs, code = args.func(args)
+        if pairs is None:
+            return code
+        pairs.insert(0, ("command", args.subcommand))
+        pairs.append(("version", __version__))
+        pairs.append(("elapsed_ms", f"{(time.perf_counter() - start) * 1000.0:.1f}"))
+        text = render_report(pairs)
+        # color's --out is the QRC1 path it has written; its report goes to
+        # stdout only.
+        if args.out and args.subcommand != "color":
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        if not args.quiet:
+            sys.stdout.write(text)
+        return code
     except (UsageError, ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -29,7 +29,8 @@ def render_report(pairs: list[tuple[str, str | list[str]]]) -> str:
 
 def parse_report(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
     """Inverse of render_report: scalar fields and indented blocks.
-    Repeated keys keep the first occurrence."""
+    Repeated keys keep the first occurrence; a repeated block's lines are
+    dropped."""
     fields: dict[str, str] = {}
     blocks: dict[str, list[str]] = {}
     current: list[str] | None = None
@@ -50,8 +51,10 @@ def parse_report(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
         if value:
             fields.setdefault(key, value)
             current = None
+        elif key in blocks:
+            current = []
         else:
-            current = blocks.setdefault(key, [])
+            current = blocks[key] = []
     return fields, blocks
 
 

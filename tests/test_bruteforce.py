@@ -192,6 +192,15 @@ class TestRamseyScan:
         with pytest.raises(CapacityError):
             ramsey_bruteforce(3, 5)
 
+    @pytest.mark.parametrize("n,max_m", [(-1, -3), (2, 0), (0, 1), (1, 0)])
+    def test_bounds_below_one_rejected(self, n, max_m):
+        with pytest.raises(ValueError, match="need n >= 1 and max_m >= 1"):
+            ramsey_bruteforce(n, max_m)
+
+    def test_scan_ends_below_a_bound_past_capacity(self):
+        # The scan stops at the value m = 4 before probing m = 5.
+        assert ramsey_bruteforce(2, 5).value == 4
+
 
 class TestLayeredIsGoodBelowTheBound:
     def test_layered_avoids_copies_for_small_ground_sets(self):

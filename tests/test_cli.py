@@ -1,5 +1,7 @@
 """End-to-end command behavior: exit codes, reports, and file outputs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,10 @@ from cuberamsey import (
     make_c3,
     make_layered,
     parse_coloring,
+    render_coloring,
     save_coloring,
 )
-from cuberamsey import cli, lattice
+from cuberamsey import __version__, cli, lattice
 from cuberamsey.cli import (
     EXIT_FAIL,
     EXIT_FOUND,
@@ -280,15 +283,6 @@ class TestFindCopyCommand:
         assert fields["blue"] == blue
         assert "verdict" not in fields
 
-    def test_out_file_matches_stdout(self, capsys, layered5, tmp_path):
-        report = tmp_path / "report.txt"
-        _, out, _ = run(
-            capsys,
-            "find-copy", "--n", 3, "--coloring", layered5,
-            "--threads", 1, "--out", report,
-        )
-        assert report.read_text() == out
-
     def test_search_deeper_than_default_recursion_limit(self, capsys, tmp_path):
         # A copy of 2^[10] has 1,024 positions, one recursion level each.
         path = tmp_path / "red10.qrc1"
@@ -348,6 +342,24 @@ class TestRecheckCommand:
         code, _, err = run(capsys, "recheck", report, "--coloring", layered5)
         assert code == EXIT_FAIL
         assert "no embedding certificate" in err
+
+    def test_repeated_certificate_block_keeps_the_first(self, capsys, c0n3, tmp_path):
+        assert parse_report("b:\n  x\nb:\n  y\n") == ({}, {"b": ["x"]})
+        report = tmp_path / "report.txt"
+        run(
+            capsys,
+            "find-copy", "--n", 3, "--coloring", c0n3,
+            "--threads", 1, "--out", report,
+        )
+        _, blocks = parse_report(report.read_text())
+        # A second red_embedding block, with an image of the wrong color,
+        # is skipped: the first one is checked.
+        repeated = ["red_embedding:", *(f"  {line}" for line in blocks["red_embedding"])]
+        repeated[1] = "  {} -> {1,3}"
+        report.write_text(report.read_text() + "\n".join(repeated) + "\n")
+        code, out, _ = run(capsys, "recheck", report, "--coloring", c0n3)
+        assert code == EXIT_OK
+        assert parse_report(out)[0]["red_certificate"] == "valid"
 
     def test_coloring_mismatch_rejected(self, capsys, c0n3, c0n4, tmp_path):
         report = tmp_path / "report.txt"
@@ -542,6 +554,13 @@ class TestBruteRamseyCommand:
         fields, _ = parse_report(out)
         assert fields["value"] == "unresolved"
 
+    @pytest.mark.parametrize("n,max_m", [(-1, -3), (2, 0), (0, 1)])
+    def test_bounds_below_one_exit_1(self, capsys, n, max_m):
+        code, out, err = run(capsys, "brute-ramsey", "--n", n, "--max-m", max_m)
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err == f"error: need n >= 1 and max_m >= 1, got n={n}, max_m={max_m}\n"
+
     def test_capacity_error(self, capsys):
         # n=3 stays unresolved through m=4, so the scan reaches m=5 and
         # hits the enumeration capacity.
@@ -671,8 +690,46 @@ class TestParserBehavior:
             run(capsys, "verify-lower-bound", "--n", 3, "--threads", threads)
             assert calls == [want] * 4
 
-    def test_reports_end_with_volatile_fields(self, capsys, c0n3):
-        _, out, _ = run(capsys, "check", "--n", 3, "--coloring", c0n3)
-        lines = out.splitlines()
-        assert lines[-2].startswith("version: ")
-        assert lines[-1].startswith("elapsed_ms: ")
+
+# Arguments of one quick run of each command; COLORING is the c0 n = 3 file
+# and REPORT a find-copy report on it.
+FRAMED_COMMANDS = {
+    "color": ("--n", 3, "--scheme", "c0"),
+    "check": ("--n", 3, "--coloring", "COLORING"),
+    "find-copy": ("--n", 3, "--coloring", "COLORING", "--threads", 1),
+    "verify-lower-bound": ("--n", 3, "--threads", 1),
+    "brute-ramsey": ("--n", 2, "--max-m", 3),
+    "flip-graph": ("--n", 3),
+    "recheck": ("REPORT", "--coloring", "COLORING"),
+}
+
+
+@pytest.mark.parametrize("command", FRAMED_COMMANDS)
+def test_report_frame(capsys, c0n3, tmp_path, command):
+    """Every report starts with its command and ends with version and
+    elapsed_ms.  --out gets the printed bytes, but for color, whose --out
+    is the coloring file."""
+    report = tmp_path / "found.txt"
+    run(capsys, "find-copy", "--n", 3, "--coloring", c0n3, "--threads", 1, "--out", report)
+    names = {"COLORING": c0n3, "REPORT": report}
+    argv = [command, *(names.get(arg, arg) for arg in FRAMED_COMMANDS[command])]
+
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", out_path)
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"command: {command}"
+    assert lines[-2] == f"version: {__version__}"
+    assert re.fullmatch(r"elapsed_ms: \d+\.\d", lines[-1])
+    if command == "color":
+        assert out_path.read_text() == render_coloring(make_c0(3))
+    else:
+        assert out_path.read_bytes() == out.encode()
+
+    quiet_path = tmp_path / "quiet"
+    assert run(capsys, *argv, "--quiet", "--out", quiet_path) == (code, "", "")
+    assert stable_lines(quiet_path.read_text()) == stable_lines(out_path.read_text())
+
+    code, out, err = run(capsys, *argv, "--out", tmp_path / "missing" / "out")
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err.startswith("error: ")
