@@ -40,9 +40,6 @@ from .properties import (
     PropertyReport,
     RestrictiveReport,
     is_flip_susceptible,
-    is_miss_forbidding,
-    is_not_too_high,
-    is_pair_enforcing,
     is_restrictive,
 )
 from .search import (
@@ -76,9 +73,6 @@ __all__ = [
     "export_edges",
     "find_copy",
     "is_flip_susceptible",
-    "is_miss_forbidding",
-    "is_not_too_high",
-    "is_pair_enforcing",
     "is_restrictive",
     "load_coloring",
     "make_c0",

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coloring import Coloring
 from .lattice import CapacityError
 
 MAX_BRUTE_M = 4
@@ -24,24 +23,22 @@ MAX_BRUTE_M = 4
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Verdict for one (n, m): the lowest-index good coloring if any.
+    """Verdict for one m: the lowest good red mask, whose bit v is set when
+    the set encoded by v is Red, or ``None`` when no coloring is good.
 
     ``colorings_checked`` counts colorings inspected in ascending red-mask
-    order: the index of the first good one plus one, or the full 2^(2^m)
-    when none exists."""
+    order: ``good_mask + 1``, or the full 2^(2^m) when none is good."""
 
-    n: int
     m: int
-    good_coloring: Coloring | None
+    good_mask: int | None
     colorings_checked: int
 
 
 @dataclass(frozen=True)
 class RamseyScan:
-    """Outcome of probing m = 1..max_m in order."""
+    """Outcome of probing m = 1, 2, ... in order: ``value`` is the first m
+    with no good coloring, or ``None`` when every probed cube has one."""
 
-    n: int
-    max_m: int
     value: int | None
     results: tuple[BruteForceResult, ...]
 
@@ -105,12 +102,6 @@ def _good_mask_array(n: int, m: int) -> np.ndarray:
     return has
 
 
-def _coloring_from_mask(r: int, m: int) -> Coloring:
-    size = 1 << m
-    red = np.fromiter(((r >> v) & 1 for v in range(size)), dtype=bool, count=size)
-    return Coloring(red, scheme=f"brute-{r}")
-
-
 def exists_good_coloring(n: int, m: int) -> BruteForceResult:
     """Exhaust red masks in ascending order; a coloring is good when
     neither color class covers a catalogued copy.  Returns the lowest good
@@ -124,8 +115,8 @@ def exists_good_coloring(n: int, m: int) -> BruteForceResult:
     idx = np.flatnonzero(good)
     if idx.size:
         r = int(idx[0])
-        return BruteForceResult(n, m, _coloring_from_mask(r, m), r + 1)
-    return BruteForceResult(n, m, None, len(has))
+        return BruteForceResult(m, r, r + 1)
+    return BruteForceResult(m, None, len(has))
 
 
 def ramsey_bruteforce(n: int, max_m: int) -> RamseyScan:
@@ -137,6 +128,6 @@ def ramsey_bruteforce(n: int, max_m: int) -> RamseyScan:
     for m in range(1, max_m + 1):
         res = exists_good_coloring(n, m)
         results.append(res)
-        if res.good_coloring is None:
-            return RamseyScan(n, max_m, m, tuple(results))
-    return RamseyScan(n, max_m, None, tuple(results))
+        if res.good_mask is None:
+            return RamseyScan(m, tuple(results))
+    return RamseyScan(None, tuple(results))

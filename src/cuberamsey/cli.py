@@ -80,12 +80,6 @@ def _check_budget(budget_ms: float | None) -> None:
         raise UsageError(f"--budget-ms must be a number >= 0, got {budget_ms:g}")
 
 
-def _load(args) -> Coloring:
-    if not args.coloring:
-        raise UsageError("--coloring is required")
-    return load_coloring(args.coloring)
-
-
 def _restrictive_pairs(prefix: str, coloring: Coloring, n: int) -> tuple[list, bool]:
     report = is_restrictive(coloring.color_class(Color.RED), n)
     pairs = []
@@ -147,7 +141,7 @@ def cmd_color(args) -> tuple[list | None, int]:
 
 def cmd_check(args) -> tuple[list, int]:
     n = args.n
-    coloring = _load(args)
+    coloring = load_coloring(args.coloring)
     if coloring.m != 2 * n:
         raise UsageError(f"checking needs a coloring of [{2 * n}], file has m={coloring.m}")
     pairs = [
@@ -188,7 +182,7 @@ def _run_color_searches(coloring: Coloring, n: int, colors, budget_ms, workers):
 def cmd_find_copy(args) -> tuple[list, int]:
     workers = _workers(args.threads)
     _check_budget(args.budget_ms)
-    coloring = _load(args)
+    coloring = load_coloring(args.coloring)
     colors = {
         "red": (Color.RED,),
         "blue": (Color.BLUE,),
@@ -254,11 +248,10 @@ def cmd_brute_ramsey(args) -> tuple[list, int]:
         ("max_m", str(args.max_m)),
     ]
     for res in scan.results:
-        if res.good_coloring is None:
+        if res.good_mask is None:
             value = f"none checked={res.colorings_checked}"
         else:
-            # The good coloring is the last one checked.
-            value = f"good index={res.colorings_checked - 1} checked={res.colorings_checked}"
+            value = f"good index={res.good_mask} checked={res.colorings_checked}"
         pairs.append((f"m={res.m}", value))
     pairs.append(("value", str(scan.value) if scan.value is not None else "unresolved"))
     return pairs, EXIT_OK
@@ -287,7 +280,7 @@ def cmd_flip_graph(args) -> tuple[list, int]:
 def cmd_recheck(args) -> tuple[list, int]:
     text = Path(args.report).read_text(encoding="utf-8")
     fields, blocks = parse_report(text)
-    coloring = _load(args)
+    coloring = load_coloring(args.coloring)
     if "n" not in fields or "m" not in fields:
         raise UsageError("report lacks n and m fields")
     n = int(fields["n"])

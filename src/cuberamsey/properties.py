@@ -114,21 +114,6 @@ def _band_reports(family: SetFamily, n: int) -> tuple[PropertyReport, ...]:
     return tuple(reports)
 
 
-def is_pair_enforcing(family: SetFamily, n: int) -> PropertyReport:
-    """Members with ceil(n/2) <= |S| < n must contain a complete pair."""
-    return _band_reports(family, n)[0]
-
-
-def is_miss_forbidding(family: SetFamily, n: int) -> PropertyReport:
-    """Members with n < |S| <= n + n//2 must not miss any pair."""
-    return _band_reports(family, n)[1]
-
-
-def is_not_too_high(family: SetFamily, n: int) -> PropertyReport:
-    """No member larger than n + n//2."""
-    return _band_reports(family, n)[2]
-
-
 def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:
     """No two pair-free n-sets whose union has size n+1 are both members.
 
@@ -153,7 +138,9 @@ def is_flip_susceptible(family: SetFamily, n: int) -> PropertyReport:
 
 
 def is_restrictive(family: SetFamily, n: int) -> RestrictiveReport:
-    """All four properties, checked in fixed order."""
+    """All four properties: ``subreports`` holds the pair-enforcing,
+    miss-forbidding, not-too-high and flip-susceptible reports, in that
+    order.  The three band checks share one pass over the family."""
     reports = (*_band_reports(family, n), is_flip_susceptible(family, n))
     return RestrictiveReport(all(r.holds for r in reports), reports)
 

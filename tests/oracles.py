@@ -696,3 +696,10 @@ def load_coloring_text(path) -> Coloring:
     whole as UTF-8 text (no newline translation), then parsed as str."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_coloring(fh.read())
+
+
+def coloring_from_mask(r: int, m: int) -> Coloring:
+    """The coloring of 2^[m] whose Red sets are the values v with bit v of
+    the red mask ``r`` set, as the brute-force oracle numbers colorings."""
+    red = np.array([r >> v & 1 for v in range(1 << m)], dtype=bool)
+    return Coloring(red, scheme=f"brute-{r}")

@@ -162,12 +162,12 @@ def test_criterion_04_layered_absent_for_n2_n3_under_60s():
 
 def test_criterion_05_brute_oracle_values_2_and_4_under_60s():
     t0 = time.perf_counter()
-    assert exists_good_coloring(1, 1).good_coloring is not None
-    assert exists_good_coloring(2, 3).good_coloring is not None
+    assert exists_good_coloring(1, 1).good_mask is not None
+    assert exists_good_coloring(2, 3).good_mask is not None
     no_q2 = exists_good_coloring(1, 2)
-    assert no_q2.good_coloring is None and no_q2.colorings_checked == 16
+    assert no_q2.good_mask is None and no_q2.colorings_checked == 16
     no_q4 = exists_good_coloring(2, 4)
-    assert no_q4.good_coloring is None and no_q4.colorings_checked == 65536
+    assert no_q4.good_mask is None and no_q4.colorings_checked == 65536
     assert ramsey_bruteforce(1, 4).value == 2
     assert ramsey_bruteforce(2, 4).value == 4
     elapsed = time.perf_counter() - t0

@@ -122,24 +122,20 @@ class TestExistsGoodColoring:
         index, checked = self.FROZEN[(n, m)]
         res = exists_good_coloring(n, m)
         assert res.colorings_checked == checked
-        if index is None:
-            assert res.good_coloring is None
-        else:
-            assert res.good_coloring is not None
-            assert res.good_coloring.scheme == f"brute-{index}"
+        assert res.good_mask == index
 
     def test_good_colorings_validated_by_engine(self):
         for (n, m), (index, _) in sorted(self.FROZEN.items()):
             if index is None:
                 continue
-            res = exists_good_coloring(n, m)
+            good = oracles.coloring_from_mask(exists_good_coloring(n, m).good_mask, m)
             for color in Color:
-                fam = res.good_coloring.color_class(color)
+                fam = good.color_class(color)
                 assert find_copy(fam, n).status == "absent"
 
     def test_q3_good_coloring_payload(self):
         res = exists_good_coloring(2, 3)
-        assert render_coloring(res.good_coloring) == (
+        assert render_coloring(oracles.coloring_from_mask(res.good_mask, 3)) == (
             "QRC1\nm=3\nscheme=brute-23\nRRRBRBBB\n"
         )
 
@@ -170,18 +166,13 @@ class TestRamseyScan:
         scan = ramsey_bruteforce(2, 4)
         assert scan.value == 4
         assert [r.colorings_checked for r in scan.results] == [1, 2, 24, 65536]
-        assert [r.good_coloring is None for r in scan.results] == [
-            False,
-            False,
-            False,
-            True,
-        ]
+        assert [r.good_mask for r in scan.results] == [0, 1, 23, None]
 
     def test_unresolved_within_capacity(self):
         scan = ramsey_bruteforce(3, 4)
         assert scan.value is None
         assert len(scan.results) == 4
-        assert all(r.good_coloring is not None for r in scan.results)
+        assert [r.good_mask for r in scan.results] == [0, 0, 1, 279]
 
     def test_early_stop_leaves_scan_unresolved(self):
         scan = ramsey_bruteforce(1, 1)

@@ -1,6 +1,7 @@
 """End-to-end command behavior: exit codes, reports, and file outputs."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ from cuberamsey.cli import (
     main,
 )
 from cuberamsey.reports import parse_report, stable_lines
+
+
+# A find-copy --n 3 --color red report on c0 n = 3, committed as written.
+FOUND_C0N3_REPORT = Path(__file__).parent / "data" / "find-copy-c0-n3-red.txt"
 
 
 def run(capsys, *args):
@@ -182,6 +187,21 @@ class TestCheckCommand:
         assert fields["verdict"] == "not-restrictive"
         assert fields["red_miss-forbidding"] == "fails witness={1,2,3,4,5} checked=84"
 
+    def test_flip_pair_witness(self, capsys, tmp_path):
+        # Both ends of the flip graph's first edge made Red: the witness is
+        # a pair of sets.
+        red = make_c0(4).red.copy()
+        red[[0b01010101, 0b01010110]] = True
+        bad = tmp_path / "flip.qrc1"
+        save_coloring(Coloring(red, scheme="flip"), bad)
+        code, out, _ = run(capsys, "check", "--n", 4, "--coloring", bad)
+        assert code == EXIT_FAIL
+        fields, _ = parse_report(out)
+        assert fields["red_flip-susceptible"] == (
+            "fails witness=({1,3,5,7},{2,3,5,7}) checked=1"
+        )
+        assert fields["verdict"] == "not-restrictive"
+
     def test_ground_set_mismatch(self, capsys, c0n3):
         code, _, err = run(capsys, "check", "--n", 4, "--coloring", c0n3)
         assert code == EXIT_FAIL
@@ -191,6 +211,15 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--n", 4, "--coloring", tmp_path / "no.qrc1")
         assert code == EXIT_FAIL
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "args", [("check", "--n", 4), ("find-copy", "--n", 4), ("recheck", FOUND_C0N3_REPORT)]
+    )
+    def test_empty_coloring_path(self, capsys, args):
+        code, out, err = run(capsys, *args, "--coloring", "")
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_malformed_file_reports_position(self, capsys, tmp_path):
         path = tmp_path / "mal.qrc1"
@@ -390,6 +419,45 @@ class TestRecheckCommand:
         assert code == EXIT_FAIL
         assert out == ""
         assert err == f"error: report says n={n}, outside 1..12\n"
+
+    def test_committed_report_still_accepted(self, capsys, c0n3):
+        # The witness of a later search may differ; a report written
+        # before must still recheck.
+        code, out, _ = run(capsys, "recheck", FOUND_C0N3_REPORT, "--coloring", c0n3)
+        assert code == EXIT_OK
+        fields, _ = parse_report(out)
+        assert fields["red_certificate"] == "valid"
+        assert fields["verdict"] == "certificates-valid"
+
+    @pytest.mark.parametrize(
+        "old,new,error",
+        [
+            ("  {1} -> {2}\n", "  {1} -> {2}\n\n",
+             "line 12: continuation without a block header"),
+            ("command:", "  stray\ncommand:", "line 1: continuation without a block header"),
+            ("color: red", "color red", "line 5: expected 'key: value'"),
+            ("  {1,2,3} -> {1,2,4,6}\n", "", "expected 8 embedding lines, got 7"),
+            ("{3} -> {6}", "{3} {6}", "embedding line without '->': '{3} {6}'"),
+            ("{3} -> {6}", "{2} -> {6}", "duplicate source {2} in embedding block"),
+            ("\nn: 3\nm: 6\n", "\n", "report lacks n and m fields"),
+            ("red_embedding:", "green_embedding:",
+             "unknown certificate block 'green_embedding'"),
+        ],
+        ids=[
+            "blank-line-in-block", "continuation-without-header", "line-without-colon",
+            "short-block", "line-without-arrow", "duplicate-source", "no-n-and-m",
+            "green-block",
+        ],
+    )
+    def test_malformed_report_rejected(self, capsys, c0n3, tmp_path, old, new, error):
+        text = FOUND_C0N3_REPORT.read_text(encoding="utf-8")
+        report = tmp_path / "report.txt"
+        report.write_text(text.replace(old, new, 1))
+        assert report.read_text() != text
+        code, out, err = run(capsys, "recheck", report, "--coloring", c0n3)
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 class TestVerifyLowerBoundCommand:

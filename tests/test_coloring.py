@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ class TestColoringClass:
         with pytest.raises(ValueError):
             Coloring(np.zeros(2, dtype=bool), scheme="a\nb")
 
+    @pytest.mark.parametrize(
+        "red",
+        [np.zeros(8, dtype=np.uint8), np.zeros(6, dtype=bool), np.zeros((2, 4), dtype=bool)],
+        ids=["uint8", "length-6", "two-dimensional"],
+    )
+    def test_rejects_table_not_bool_of_length_power_of_two(self, red):
+        with pytest.raises(ValueError, match="assignment must be bool of length 2\\^m"):
+            Coloring(red)
+
     def test_equality_includes_scheme(self):
         a = make_layered(2)
         b = Coloring(a.red.copy(), scheme="other")
@@ -186,6 +196,20 @@ class TestDualColoring:
         red = np.random.default_rng(5).random(32) < 0.5
         c = Coloring(red[::2])
         assert np.array_equal(dual_coloring(c).red, ~red[::2][::-1])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_c0_dual_differs_only_on_the_middle_layer_at_even_n(self, n):
+        # The premise of one search per odd-n certificate: at odd n, c0 is
+        # its own dual; at even n the two disagree on every n-set and only
+        # there.  Compared by table, since == also compares the schemes.
+        c = make_c0(n)
+        d = dual_coloring(c)
+        if n % 2:
+            assert np.array_equal(c.red, d.red)
+        else:
+            differ = np.flatnonzero(c.red != d.red)
+            assert differ.size == comb(2 * n, n)
+            assert np.all(np.bitwise_count(differ) == n)
 
     def test_involution_including_scheme(self):
         c = make_c0(3)

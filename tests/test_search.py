@@ -623,6 +623,42 @@ class TestInWindowGeneration:
             assert (a.nodes_explored, a.prune_hits) == (b.nodes_explored, b.prune_hits)
 
 
+    @pytest.mark.parametrize("cached", [1, 2, 5, 50])
+    def test_evicted_low_lists_change_nothing(self, monkeypatch, cached):
+        # A small cache clears the engine's low lists again and again, so
+        # lists are built anew for keys met before.
+        cases = [
+            (make_c0(3).color_class(Color.RED), 3),
+            (make_c0(4).color_class(Color.RED), 4),
+            (make_c0(4).color_class(Color.BLUE), 4),
+            (make_layered(6).color_class(Color.RED), 3),
+        ]
+
+        def runs():
+            out = []
+            for fam, n in cases:
+                first = find_copy(fam, n)
+                count = find_copy(fam, n, mode="count").count
+                out.append((first.status, first.embedding, first.nodes_explored,
+                            first.prune_hits, count))
+            return out
+
+        built = []
+        submasks = search._submasks_in_window
+
+        def counted(*key):
+            built.append(key)
+            return submasks(*key)
+
+        monkeypatch.setattr(search, "_submasks_in_window", counted)
+        expected = runs()
+        keys = len(built)
+        monkeypatch.setattr(search, "_CACHED_ENTRIES", cached)
+        built.clear()
+        assert runs() == expected
+        assert len(built) > keys
+
+
 class TestC0N4Audit:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_frozen_counters(self, workers):
